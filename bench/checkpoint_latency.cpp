@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
   std::size_t checkpoints = 0;
   LiveOptions lopts;
   lopts.epoch_batch_records = kEpochBatch;
-  FollowSource source(cap_path, false);
+  FollowSource source(cap_path);
   LiveEngine engine(source, lopts);
   LiveCheckpoint last;
   const auto live_t0 = std::chrono::steady_clock::now();
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "capture too small: no checkpoint was taken\n");
     return 1;
   }
-  FollowSource resumed(cap_path, false, IngestPolicy{},
+  FollowSource resumed(cap_path, IngestPolicy{},
                        PcapStream::Resume{last.resume_offset,
                                           last.records_seen,
                                           last.stream_last_ts, last.diag});

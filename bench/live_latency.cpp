@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "from_memory: %s\n", stream.error().c_str());
       return 1;
     }
-    PcapStreamSource source(std::move(stream).value(), false);
+    PcapStreamSource source(std::move(stream).value());
     const auto t0 = std::chrono::steady_clock::now();
     const TraceAnalysis analysis = run_pipeline(source, AnalyzerOptions{});
     batch_agg = render_report(build_report_model(analysis), ReportFormat::kAgg);

@@ -4,8 +4,9 @@
 // machine-readable BENCH_pipeline.json (path overridable via argv[1]).
 //
 // The ingest stage (read + decode + demux) is also measured standing alone,
-// over a real file through both readers (mmap and chunked streaming) at
-// jobs=1 and jobs=8; the best rate is the file's headline_ingest_mb_per_s.
+// over a real file through both readers (mmap and chunked streaming); the
+// best rate is the file's headline_ingest_mb_per_s. Ingest is serial, so
+// there is no job-count axis to sweep there.
 // That headline is what CI gates on:
 //
 //   pipeline_throughput --gate BENCH_pipeline.json [--min-ratio 0.9]
@@ -132,7 +133,6 @@ std::string alloc_json(const HistogramSnapshot& h) {
 
 struct IngestRun {
   bool mmap = false;
-  std::size_t jobs = 1;
   double best_s = 1e100;
   std::uint64_t bytes = 0;
   std::uint64_t packets = 0;
@@ -144,57 +144,50 @@ struct IngestRun {
 
 struct IngestBench {
   std::vector<IngestRun> runs;
-  double headline_mb_per_s = 0;  // best rate across the four configs
+  double headline_mb_per_s = 0;  // best rate across the two readers
   bool agree = true;             // identical packet counts everywhere
 };
 
-// Drain run_ingest_stage over a real file, best of `reps`, for
-// {mmap, stream} x {jobs 1, 8}. Uses the same 64-session workload in full
-// and --gate mode so the committed headline and the gate measurement are
+// Drain run_ingest_stage over a real file, best of `reps`, through the mmap
+// and the streaming reader. Uses the same 64-session workload in full and
+// --gate mode so the committed headline and the gate measurement are
 // comparable.
 IngestBench bench_ingest_stage(const std::string& pcap_path, int reps) {
   IngestBench bench;
   for (const bool mmap : {true, false}) {
-    for (const std::size_t jobs : {std::size_t{1}, std::size_t{8}}) {
-      IngestRun run;
-      run.mmap = mmap;
-      run.jobs = jobs;
-      for (int rep = 0; rep < reps; ++rep) {
-        IngestPolicy policy;
-        policy.use_mmap = mmap;
-        auto source = PcapStreamSource::open(pcap_path, false, policy);
-        if (!source.ok()) {
-          std::fprintf(stderr, "ingest bench: %s\n", source.error().c_str());
-          bench.agree = false;
-          return bench;
-        }
-        AnalyzerOptions opts;
-        opts.jobs = jobs;
-        const auto t0 = std::chrono::steady_clock::now();
-        const IngestStageResult got =
-            run_ingest_stage(source.value(), opts);
-        const double wall = wall_seconds_since(t0);
-        if (wall < run.best_s) run.best_s = wall;
-        run.bytes = source.value().bytes_ingested();
-        if (run.packets == 0) {
-          run.packets = got.packets;
-        } else if (run.packets != got.packets) {
-          bench.agree = false;
-        }
+    IngestRun run;
+    run.mmap = mmap;
+    for (int rep = 0; rep < reps; ++rep) {
+      IngestPolicy policy;
+      policy.use_mmap = mmap;
+      auto source = PcapStreamSource::open(pcap_path, false, policy);
+      if (!source.ok()) {
+        std::fprintf(stderr, "ingest bench: %s\n", source.error().c_str());
+        bench.agree = false;
+        return bench;
       }
-      if (!bench.runs.empty() && run.packets != bench.runs.front().packets) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const IngestStageResult got = run_ingest_stage(source.value(), false);
+      const double wall = wall_seconds_since(t0);
+      if (wall < run.best_s) run.best_s = wall;
+      run.bytes = source.value().bytes_ingested();
+      if (run.packets == 0) {
+        run.packets = got.packets;
+      } else if (run.packets != got.packets) {
         bench.agree = false;
       }
-      std::printf("ingest stage %s jobs=%zu: %8.1f MB/s (%llu bytes, "
-                  "%llu packets)\n",
-                  mmap ? "mmap  " : "stream", jobs, run.mb_per_s(),
-                  static_cast<unsigned long long>(run.bytes),
-                  static_cast<unsigned long long>(run.packets));
-      if (run.mb_per_s() > bench.headline_mb_per_s) {
-        bench.headline_mb_per_s = run.mb_per_s();
-      }
-      bench.runs.push_back(run);
     }
+    if (!bench.runs.empty() && run.packets != bench.runs.front().packets) {
+      bench.agree = false;
+    }
+    std::printf("ingest stage %s: %8.1f MB/s (%llu bytes, %llu packets)\n",
+                mmap ? "mmap  " : "stream", run.mb_per_s(),
+                static_cast<unsigned long long>(run.bytes),
+                static_cast<unsigned long long>(run.packets));
+    if (run.mb_per_s() > bench.headline_mb_per_s) {
+      bench.headline_mb_per_s = run.mb_per_s();
+    }
+    bench.runs.push_back(run);
   }
   return bench;
 }
@@ -226,49 +219,9 @@ bool scan_number(const std::string& json, const std::string& key,
   return true;
 }
 
-// Multi-job scaling assertion: with enough real cores, mmap jobs=8 must not
-// be slower than 90% of mmap jobs=1 — a pool that serializes or contends its
-// way below the serial reader is a regression. On small runners (< 4 cores)
-// the parallel numbers measure the scheduler, not the code, so the check is
-// SKIPPED out loud instead of silently passing.
+// Analysis speedups measured below this many cores show the scheduler, not
+// the code; the full-mode JSON says so.
 constexpr unsigned kMinCoresForScaling = 4;
-constexpr double kScalingFloor = 0.9;
-
-// "pass", "fail", or "skipped_lt4cores" — recorded in the gate's JSON so a
-// 1-core CI runner can never masquerade as having exercised the check.
-std::string check_parallel_scaling(const IngestBench& bench, unsigned cores,
-                                   bool& ok) {
-  const IngestRun* mmap1 = nullptr;
-  const IngestRun* mmap8 = nullptr;
-  for (const IngestRun& run : bench.runs) {
-    if (run.mmap && run.jobs == 1) mmap1 = &run;
-    if (run.mmap && run.jobs == 8) mmap8 = &run;
-  }
-  if (mmap1 == nullptr || mmap8 == nullptr || mmap1->mb_per_s() <= 0) {
-    std::fprintf(stderr, "gate: scaling check has no mmap jobs=1/8 runs\n");
-    ok = false;
-    return "fail";
-  }
-  if (cores < kMinCoresForScaling) {
-    std::printf(
-        "gate: SKIP multi-job scaling check — %u core%s (< %u): parallel "
-        "rates are not meaningful on this runner\n",
-        cores, cores == 1 ? "" : "s", kMinCoresForScaling);
-    return "skipped_lt4cores";
-  }
-  const double scaling = mmap8->mb_per_s() / mmap1->mb_per_s();
-  std::printf("gate: scaling mmap jobs=8 vs jobs=1: %.3fx (floor %.2f)\n",
-              scaling, kScalingFloor);
-  if (scaling < kScalingFloor) {
-    std::fprintf(stderr,
-                 "gate: FAIL — mmap jobs=8 fell below %.0f%% of jobs=1 on a "
-                 "%u-core runner\n",
-                 kScalingFloor * 100, cores);
-    ok = false;
-    return "fail";
-  }
-  return "pass";
-}
 
 int run_gate(const std::string& baseline_path, double min_ratio) {
   std::FILE* f = std::fopen(baseline_path.c_str(), "rb");
@@ -317,11 +270,8 @@ int run_gate(const std::string& baseline_path, double min_ratio) {
                  min_ratio * 100);
     ok = false;
   }
-  const std::string scaling = check_parallel_scaling(bench, cores, ok);
 
-  // Record what this gate run actually measured — and, crucially, how many
-  // cores it measured on — so CI artifacts can't pass off a 1-core run as a
-  // scaling-verified one.
+  // Record what this gate run actually measured, and on how many cores.
   if (std::FILE* gf = std::fopen("BENCH_gate.json", "w")) {
     std::fprintf(gf,
                  "{\n  \"cpu_cores\": %u,\n  \"baseline_cpu_cores\": %u,\n"
@@ -329,15 +279,12 @@ int run_gate(const std::string& baseline_path, double min_ratio) {
                  "  \"baseline_headline_mb_per_s\": %.1f,\n"
                  "  \"headline_ratio\": %.3f,\n"
                  "  \"headline_comparable\": %s,\n"
-                 "  \"scaling_check\": \"%s\",\n"
                  "  \"pass\": %s\n}\n",
                  cores, static_cast<unsigned>(base_cores),
                  bench.headline_mb_per_s, base_headline, ratio,
-                 comparable ? "true" : "false", scaling.c_str(),
-                 ok ? "true" : "false");
+                 comparable ? "true" : "false", ok ? "true" : "false");
     std::fclose(gf);
-    std::printf("gate: wrote BENCH_gate.json (cpu_cores=%u, scaling=%s)\n",
-                cores, scaling.c_str());
+    std::printf("gate: wrote BENCH_gate.json (cpu_cores=%u)\n", cores);
   }
   std::printf("gate: %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;
@@ -510,9 +457,9 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < ingest.runs.size(); ++i) {
     const IngestRun& run = ingest.runs[i];
     std::fprintf(f,
-                 "      {\"reader\": \"%s\", \"jobs\": %zu, "
+                 "      {\"reader\": \"%s\", "
                  "\"mb_per_s\": %.1f, \"bytes\": %llu, \"packets\": %llu}%s\n",
-                 run.mmap ? "mmap" : "stream", run.jobs, run.mb_per_s(),
+                 run.mmap ? "mmap" : "stream", run.mb_per_s(),
                  static_cast<unsigned long long>(run.bytes),
                  static_cast<unsigned long long>(run.packets),
                  i + 1 < ingest.runs.size() ? "," : "");

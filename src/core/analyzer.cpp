@@ -2,11 +2,11 @@
 
 #include <chrono>
 #include <cstdio>
+#include <numeric>
 
 #include "core/ingest_pipeline.hpp"
 #include "core/pass.hpp"
 #include "core/trace_source.hpp"
-#include "pcap/decode.hpp"
 #include "pcap/pcap_stream.hpp"
 #include "util/alloc_hook.hpp"
 #include "util/log.hpp"
@@ -22,20 +22,12 @@ Micros wall_now() {
       .count();
 }
 
-std::size_t effective_jobs(std::size_t requested, std::size_t connections) {
-  std::size_t jobs = requested == 0 ? default_jobs() : requested;
-  if (connections > 0 && jobs > connections) jobs = connections;
-  return jobs > 0 ? jobs : 1;
-}
-
-// The analysis stage shared by every ingest path. Connections are handed to
-// workers by index and each result is written into its pre-sized slot, so
-// ordering and content never depend on the job count or scheduling.
-void run_analysis_stage(TraceAnalysis& out, const AnalyzerOptions& opts) {
-  const Micros t0 = wall_now();
-  const std::size_t jobs = effective_jobs(opts.jobs, out.connections.size());
-  TDAT_TRACE_SPAN("analyze.stage", "analyze", "jobs",
-                  static_cast<std::int64_t>(jobs));
+// The analysis stage shared by every batch entry point: `t0` is when ingest
+// started, so the run's ingest and total walls are measured from it.
+void run_analysis_stage(TraceAnalysis& out, const AnalyzerOptions& opts,
+                        Micros t0) {
+  const Micros t1 = wall_now();
+  out.stats.ingest_wall = t1 - t0;
   // Scope the cumulative pool/analysis histograms to this run.
   const HistogramSnapshot qw0 =
       metrics().histogram("pool.queue_wait_us").snapshot();
@@ -43,32 +35,10 @@ void run_analysis_stage(TraceAnalysis& out, const AnalyzerOptions& opts) {
       metrics().histogram("analyze.connection_us").snapshot();
   out.results.clear();
   out.results.resize(out.connections.size());
-  parallel_for(out.connections.size(), jobs, [&](std::size_t i) {
-    // One scratch per worker thread, warm across tasks and across runs: the
-    // whole per-connection working set (classifier tables, series buffers,
-    // range-set algebra, reassembly, MCT prefix table) is recycled, so the
-    // stage's steady state performs no cross-core allocator traffic.
-    thread_local AnalysisScratch scratch;
-    // A pathological connection must not take the run down (an uncaught
-    // exception on a pool thread would terminate the process): it is
-    // quarantined in place and the stage moves on. Deep allocation failures
-    // (bad_alloc / length_error from absurd reconstructed streams) are the
-    // realistic throwers; contract violations still abort via TDAT_EXPECTS.
-    try {
-      analyze_connection(out.connections[i], opts, scratch, out.results[i]);
-    } catch (const std::exception& e) {
-      TDAT_LOG_WARN("analyze: connection %s quarantined: %s",
-                    out.connections[i].key.to_string().c_str(), e.what());
-      out.results[i] = ConnectionAnalysis{};
-      out.results[i].key = out.connections[i].key;
-      out.results[i].quarantine_reason = "analysis failed with an exception";
-    } catch (...) {
-      out.results[i] = ConnectionAnalysis{};
-      out.results[i].key = out.connections[i].key;
-      out.results[i].quarantine_reason = "analysis failed";
-    }
-    out.results[i].conn_index = i;
-  });
+  std::vector<std::uint32_t> all(out.connections.size());
+  std::iota(all.begin(), all.end(), 0u);
+  const std::size_t jobs =
+      analyze_connections(out.connections, all, opts, out.results);
   out.stats.jobs = jobs;
   out.stats.connections = out.connections.size();
   out.stats.quarantined = 0;
@@ -77,7 +47,8 @@ void run_analysis_stage(TraceAnalysis& out, const AnalyzerOptions& opts) {
   }
   metrics().gauge("quarantine.connections")
       .set(static_cast<std::int64_t>(out.stats.quarantined));
-  out.stats.analyze_wall = wall_now() - t0;
+  const Micros t2 = wall_now();
+  out.stats.analyze_wall = t2 - t1;
   out.stats.queue_wait_us =
       metrics().histogram("pool.queue_wait_us").snapshot().since(qw0);
   out.stats.connection_us =
@@ -85,6 +56,8 @@ void run_analysis_stage(TraceAnalysis& out, const AnalyzerOptions& opts) {
   TDAT_LOG_DEBUG("analysis stage: %zu connections on %zu workers in %.3fs",
                  out.connections.size(), jobs,
                  to_seconds(out.stats.analyze_wall));
+  out.stats.total_wall = t2 - t0;
+  out.stats.metrics_json = metrics().to_json();
 }
 
 double rate(std::uint64_t count, Micros wall) {
@@ -119,7 +92,6 @@ std::string PipelineStats::to_json() const {
   if (quarantined > 0) field("quarantined", std::to_string(quarantined));
   if (ingest.has_errors()) field("ingest_errors", ingest.to_json());
   field("jobs", std::to_string(jobs));
-  field("ingest_jobs", std::to_string(ingest_jobs));
   field("ingest_wall_us", std::to_string(ingest_wall));
   field("decode_busy_us", std::to_string(decode_busy));
   field("analyze_wall_us", std::to_string(analyze_wall));
@@ -266,36 +238,90 @@ void analyze_connection(const Connection& conn, const AnalyzerOptions& opts,
   scratch.done->inc();
 }
 
+std::size_t resolve_jobs(std::size_t requested, std::size_t tasks) {
+  std::size_t jobs = requested == 0 ? default_jobs() : requested;
+  if (tasks > 0 && jobs > tasks) jobs = tasks;
+  return jobs > 0 ? jobs : 1;
+}
+
+std::size_t analyze_connections(const std::vector<Connection>& conns,
+                                std::span<const std::uint32_t> which,
+                                const AnalyzerOptions& opts,
+                                std::vector<ConnectionAnalysis>& results) {
+  const std::size_t jobs = resolve_jobs(opts.jobs, which.size());
+  TDAT_TRACE_SPAN("analyze.stage", "analyze", "jobs",
+                  static_cast<std::int64_t>(jobs));
+  parallel_for(which.size(), jobs, [&](std::size_t t) {
+    const std::size_t i = which[t];
+    // One scratch per worker thread, warm across tasks and across runs: the
+    // whole per-connection working set (classifier tables, series buffers,
+    // range-set algebra, reassembly, MCT prefix table) is recycled, so the
+    // stage's steady state performs no cross-core allocator traffic.
+    thread_local AnalysisScratch scratch;
+    // A pathological connection must not take the run down (an uncaught
+    // exception on a pool thread would terminate the process): it is
+    // quarantined in place and the stage moves on. Deep allocation failures
+    // (bad_alloc / length_error from absurd reconstructed streams) are the
+    // realistic throwers; contract violations still abort via TDAT_EXPECTS.
+    try {
+      analyze_connection(conns[i], opts, scratch, results[i]);
+    } catch (const std::exception& e) {
+      TDAT_LOG_WARN("analyze: connection %s quarantined: %s",
+                    conns[i].key.to_string().c_str(), e.what());
+      results[i] = ConnectionAnalysis{};
+      results[i].key = conns[i].key;
+      results[i].quarantine_reason = "analysis failed with an exception";
+    } catch (...) {
+      results[i] = ConnectionAnalysis{};
+      results[i].key = conns[i].key;
+      results[i].quarantine_reason = "analysis failed";
+    }
+    results[i].conn_index = i;
+  });
+  return jobs;
+}
+
 TraceAnalysis run_pipeline(TraceSource& source, const AnalyzerOptions& opts) {
   TraceAnalysis out;
   const Micros t0 = wall_now();
   {
     TDAT_TRACE_SPAN("ingest", "pcap");
-    IngestStageResult ingested = run_ingest_stage(source, opts);
+    IngestStageResult ingested =
+        run_ingest_stage(source, opts.verify_checksums);
     out.connections = std::move(ingested.connections);
     out.stats.packets = ingested.packets;
     out.stats.decode_busy = ingested.decode_busy;
-    out.stats.ingest_jobs = ingested.ingest_jobs;
   }
   out.stats.records = source.records_seen();
   out.stats.bytes_ingested = source.bytes_ingested();
   out.stats.ingest = source.diagnostics();
   source.collect_file_diagnostics(out.file_diags);
-  out.stats.ingest_wall = wall_now() - t0;
-  run_analysis_stage(out, opts);
-  out.stats.total_wall = wall_now() - t0;
-  out.stats.metrics_json = metrics().to_json();
+  run_analysis_stage(out, opts, t0);
   return out;
 }
 
 TraceAnalysis analyze_packets(std::vector<DecodedPacket> packets,
                               const AnalyzerOptions& opts) {
-  PacketVectorSource source(std::move(packets));
-  return run_pipeline(source, opts);
+  TraceAnalysis out;
+  const Micros t0 = wall_now();
+  {
+    // Already decoded: ingest is the demux alone. No capture headers were
+    // seen, so bytes are frame bytes and records stay 0.
+    TDAT_TRACE_SPAN("ingest", "pcap");
+    ConnectionDemux demux;
+    out.stats.packets = packets.size();
+    for (DecodedPacket& pkt : packets) {
+      out.stats.bytes_ingested += pkt.frame.size();
+      demux.add(std::move(pkt));
+    }
+    out.connections = demux.take();
+  }
+  run_analysis_stage(out, opts, t0);
+  return out;
 }
 
 TraceAnalysis analyze_trace(const PcapFile& file, const AnalyzerOptions& opts) {
-  PcapFileSource source(file, opts.verify_checksums);
+  PcapFileSource source(file);
   return run_pipeline(source, opts);
 }
 
@@ -311,7 +337,7 @@ Result<TraceAnalysis> analyze_file(const std::string& path,
 Result<TraceAnalysis> analyze_files(const std::vector<std::string>& inputs,
                                     const AnalyzerOptions& opts) {
   TDAT_TRY(source,
-           MultiFileSource::open(inputs, opts.verify_checksums, opts.ingest));
+           MultiFileSource::open(inputs, opts.ingest));
   TDAT_LOG_INFO("analyze: %zu rotated capture files as one trace",
                 source.file_count());
   return run_pipeline(source, opts);

@@ -5,15 +5,17 @@
 // detectors — over the transfer window.
 //
 // One pipeline, many sources: run_pipeline consumes any TraceSource
-// (core/trace_source.hpp), so the in-memory path (analyze_trace /
-// analyze_packets), the streaming path (analyze_file), and the rotated
-// multi-file path (analyze_files) are thin wrappers around the same ingest
-// loop and analysis stage. The stage runs analyze_connection per connection
-// — serially for opts.jobs == 1, on a thread pool otherwise — with results
-// written into pre-sized slots by connection index, so the output is
-// bit-identical at any job count and across every ingest path.
+// (core/trace_source.hpp), so the in-memory path (analyze_trace), the
+// streaming path (analyze_file), and the rotated multi-file path
+// (analyze_files) are thin wrappers around the same ingest loop and analysis
+// stage; analyze_packets demuxes already-decoded packets straight into that
+// stage. The stage runs analyze_connection per connection — serially for
+// opts.jobs == 1, on a thread pool otherwise — with results written into
+// pre-sized slots by connection index, so the output is bit-identical at any
+// job count and across every ingest path.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,11 +66,8 @@ struct PipelineStats {
   std::uint64_t quarantined = 0;     // connections isolated by quarantine
   IngestDiagnostics ingest;          // capture damage tallied by the source
   std::size_t jobs = 1;              // effective analysis worker count
-  std::size_t ingest_jobs = 1;       // threads the ingest stage used
   Micros ingest_wall = 0;            // read + decode + connection demux
-  // Wall time inside header decode, summed across decode workers (exceeds
-  // the stage wall when decoding overlaps across cores).
-  Micros decode_busy = 0;
+  Micros decode_busy = 0;            // wall time inside header decode
   Micros analyze_wall = 0;           // per-connection analysis stage
   Micros total_wall = 0;
 
@@ -86,7 +85,7 @@ struct PipelineStats {
   [[nodiscard]] double connections_per_sec() const;
   // Per-stage throughput over the same capture bytes: what each stage would
   // sustain standing alone. ingest = read + decode + demux wall;
-  // decode = summed decode-worker busy time; analysis = analysis-stage wall.
+  // decode = header-decode time; analysis = analysis-stage wall.
   [[nodiscard]] double ingest_bytes_per_sec() const;
   [[nodiscard]] double decode_bytes_per_sec() const;
   [[nodiscard]] double analysis_bytes_per_sec() const;
@@ -141,6 +140,23 @@ struct AnalysisScratch {
 void analyze_connection(const Connection& conn, const AnalyzerOptions& opts,
                         AnalysisScratch& scratch, ConnectionAnalysis& out);
 
+// Worker count for `tasks` units of work: `requested` (0 = default_jobs()),
+// clamped to [1, tasks].
+[[nodiscard]] std::size_t resolve_jobs(std::size_t requested,
+                                       std::size_t tasks);
+
+// The per-connection analysis driver shared by batch run_pipeline and the
+// live engine: analyzes conns[i] into results[i] (pre-sized) for every i in
+// `which`, on resolve_jobs(opts.jobs, which.size()) workers, each with a
+// warm thread-local AnalysisScratch. Results land in index-keyed slots, so
+// output never depends on the job count. A connection whose analysis throws
+// is quarantined in place instead of taking the run down. Returns the
+// worker count used.
+std::size_t analyze_connections(const std::vector<Connection>& conns,
+                                std::span<const std::uint32_t> which,
+                                const AnalyzerOptions& opts,
+                                std::vector<ConnectionAnalysis>& results);
+
 // The one analysis pipeline every entry point funnels into: drain the
 // source (decode + connection demux), then run the analysis stage. The
 // source fully determines the packets, so two sources yielding the same
@@ -155,7 +171,7 @@ void analyze_connection(const Connection& conn, const AnalyzerOptions& opts,
                                           const AnalyzerOptions& opts);
 
 // Streaming entry point: chunked pcap ingest with arena-backed zero-copy
-// packets, connection demux overlapped with decoding, then the same
+// packets, batched decode feeding the connection demux, then the same
 // (optionally parallel) analysis stage. Produces results identical to
 // analyze_trace(read_pcap_file(path)) at a fraction of the peak memory.
 [[nodiscard]] Result<TraceAnalysis> analyze_file(const std::string& path,

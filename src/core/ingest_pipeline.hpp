@@ -1,33 +1,22 @@
-// The batched/parallel ingest stage of run_pipeline (DESIGN.md §11): drain a
-// TraceSource into demultiplexed connections as fast as the hardware allows.
+// The ingest stage of run_pipeline (DESIGN.md §12): drain a TraceSource into
+// demultiplexed connections. One shape serves every source: pull raw records
+// in batches (TraceSource::next_raw_records), run them through the SoA batch
+// decoder (pcap/decode_batch.hpp), and feed the flat-table demux — one
+// thread, no queues, no atomics. The live engine (core/live.hpp) ingests
+// through the same decode_record_span, so batch, live, and restored live
+// state see identical packets.
 //
-// Serial shape (jobs == 1, or a source without raw-record access): pull raw
-// records in batches, run the SoA batch decoder (pcap/decode_batch.hpp), and
-// feed the flat-table demux — one thread, no queues, no atomics.
-//
-// Parallel shape (jobs > 1 on a raw-record source): the calling thread reads
-// raw-record batches and hands them to a decode-worker pool; each decoded
-// batch is split by connection-key hash into per-shard sub-batches; each
-// shard worker owns a private ConnectionDemux and applies sub-batches in
-// batch-sequence order (a resequencing buffer absorbs decode-worker races).
-// Reading, decoding, and demuxing overlap across cores — this is what makes
-// --jobs scale on the ingest side rather than only in per-connection
-// analysis.
-//
-// Determinism: a connection's packets all land on one shard (the shard is a
-// pure function of the connection key) and arrive in capture order (the
-// resequencer restores batch order; lanes inside a batch are emitted in
-// order), so every per-connection decision — reopen splits, the timestamp
-// clamp — replays exactly as in the serial demux. The final connection list
-// is the shards' outputs merged by first-packet trace index, which is the
-// global first-seen order the serial path produces. Identical packets in,
-// bit-identical connections out, at any job count.
+// Ingest is serial on purpose: it is a few percent of an analyze run (BGP
+// extraction dominates), and a sharded multi-threaded shape measured no
+// faster than this loop on 4 real cores. --jobs sizes the analysis stage
+// only.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "core/options.hpp"
+#include "pcap/decode_batch.hpp"
 #include "tcp/connection.hpp"
 #include "util/time.hpp"
 
@@ -35,19 +24,30 @@ namespace tdat {
 
 class TraceSource;
 
+// Raw records pulled from a source per ingest step, batch and live alike. A
+// multiple of kDecodeBatch so the decoder runs full lanes.
+inline constexpr std::size_t kIngestBatch = 4 * kDecodeBatch;
+
+// Decodes `records` — record i gets trace index start_index + i — appending
+// the packets that decode to `out` in record order, each stamped with its
+// record's capture position (rec_offset, rec_len) so a live checkpoint can
+// name it as an offset run instead of serializing its bytes. Records that
+// fail to decode (truncated, non-TCP, checksum rejects) emit nothing.
+void decode_record_span(std::span<const StreamRecord> records,
+                        std::size_t start_index, bool verify_checksums,
+                        DecodeScratch& scratch,
+                        std::vector<DecodedPacket>& out);
+
 struct IngestStageResult {
-  std::vector<Connection> connections;  // global first-seen order
+  std::vector<Connection> connections;  // first-seen order
   std::uint64_t packets = 0;            // decoded TCP packets
-  // Wall time spent inside header decode, summed across decode workers (can
-  // exceed the stage's wall clock when they overlap). bytes / decode_busy is
-  // the decode stage's standalone throughput.
+  // Wall time spent inside header decode; bytes / decode_busy is the decode
+  // stage's standalone throughput.
   Micros decode_busy = 0;
-  std::size_t ingest_jobs = 1;  // threads the stage actually used
 };
 
-// Drains `source` completely. opts supplies jobs (0 = default_jobs()) and
-// verify_checksums.
+// Drains `source` completely.
 [[nodiscard]] IngestStageResult run_ingest_stage(TraceSource& source,
-                                                 const AnalyzerOptions& opts);
+                                                 bool verify_checksums);
 
 }  // namespace tdat

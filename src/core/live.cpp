@@ -2,25 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
 #include <utility>
 
+#include "core/ingest_pipeline.hpp"
 #include "pcap/mmap_file.hpp"
 #include "pcap/record_runs.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace tdat {
 namespace {
-
-// Raw records pulled from the source per inner ingest step; matches the
-// batch pipeline's decode granularity (4 decode batches).
-constexpr std::size_t kLiveIngestBatch = 256;
-
-// On-disk pcap record header size, for rec_offset/rec_len bookkeeping.
-constexpr std::size_t kRecordHeaderLen = 16;
 
 // Packets always retained at the front of a windowed connection: the
 // handshake plus the first data packets, which anchor the RTT/MSS profile
@@ -32,12 +24,6 @@ Micros wall_now() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::size_t live_jobs(std::size_t requested, std::size_t connections) {
-  std::size_t jobs = requested == 0 ? default_jobs() : requested;
-  if (connections > 0 && jobs > connections) jobs = connections;
-  return jobs > 0 ? jobs : 1;
 }
 
 // Coalesces a connection's retained packets into capture offset runs: a run
@@ -92,42 +78,19 @@ std::size_t LiveEngine::run_epoch() {
   dirty_.clear();
   std::size_t total = 0;
   const std::size_t budget = std::max<std::size_t>(opts_.epoch_batch_records, 1);
-  if (source_.supports_raw_records()) {
-    record_buf_.resize(kLiveIngestBatch);
-    while (total < budget) {
-      const std::size_t want = std::min(kLiveIngestBatch, budget - total);
-      const std::size_t n =
-          source_.next_raw_records(std::span(record_buf_).first(want));
-      if (n == 0) break;
-      const std::span<const StreamRecord> recs(record_buf_.data(), n);
-      std::size_t off = 0;
-      while (off < recs.size()) {
-        packet_buf_.clear();
-        off += decode_records(recs.subspan(off), next_index_ + off,
-                              opts_.analyzer.verify_checksums, decode_scratch_,
-                              packet_buf_);
-        for (DecodedPacket& pkt : packet_buf_) {
-          // Remember where in the capture this packet's record lives, so a
-          // checkpoint can name retained packets as (offset, count) runs
-          // instead of serializing their bytes.
-          const StreamRecord& rec = recs[pkt.index - next_index_];
-          pkt.rec_offset = rec.file_offset;
-          pkt.rec_len =
-              static_cast<std::uint32_t>(kRecordHeaderLen + rec.data.size());
-          ingest_packet(std::move(pkt));
-        }
-      }
-      next_index_ += n;
-      total += n;
-    }
-  } else {
-    // Pre-decoded sources (tests): one record per packet.
-    DecodedPacket pkt;
-    while (total < budget && source_.next(pkt)) {
-      ingest_packet(std::move(pkt));
-      ++next_index_;
-      ++total;
-    }
+  record_buf_.resize(kIngestBatch);
+  while (total < budget) {
+    const std::size_t want = std::min(kIngestBatch, budget - total);
+    const std::size_t n =
+        source_.next_raw_records(std::span(record_buf_).first(want));
+    if (n == 0) break;
+    packet_buf_.clear();
+    decode_record_span(std::span(record_buf_).first(n), next_index_,
+                       opts_.analyzer.verify_checksums, decode_scratch_,
+                       packet_buf_);
+    for (DecodedPacket& pkt : packet_buf_) ingest_packet(std::move(pkt));
+    next_index_ += n;
+    total += n;
   }
   const Micros t1 = wall_now();
   ingest_wall_ += t1 - t0;
@@ -154,29 +117,9 @@ std::size_t LiveEngine::run_epoch() {
 void LiveEngine::analyze_dirty() {
   if (dirty_.empty()) return;
   std::vector<Connection>& conns = demux_.connections();
-  const std::size_t jobs = live_jobs(opts_.analyzer.jobs, dirty_.size());
   TDAT_TRACE_SPAN("live.analyze", "live", "dirty",
                   static_cast<std::int64_t>(dirty_.size()));
-  parallel_for(dirty_.size(), jobs, [&](std::size_t di) {
-    thread_local AnalysisScratch scratch;
-    const std::size_t i = dirty_[di];
-    // Same quarantine contract as the batch analysis stage: a connection
-    // whose analysis throws is isolated in place, never the whole daemon.
-    try {
-      analyze_connection(conns[i], opts_.analyzer, scratch, results_[i]);
-    } catch (const std::exception& e) {
-      TDAT_LOG_WARN("live: connection %s quarantined: %s",
-                    conns[i].key.to_string().c_str(), e.what());
-      results_[i] = ConnectionAnalysis{};
-      results_[i].key = conns[i].key;
-      results_[i].quarantine_reason = "analysis failed with an exception";
-    } catch (...) {
-      results_[i] = ConnectionAnalysis{};
-      results_[i].key = conns[i].key;
-      results_[i].quarantine_reason = "analysis failed";
-    }
-    results_[i].conn_index = i;
-  });
+  analyze_connections(conns, dirty_, opts_.analyzer, results_);
   // Location inference reads the packet list, which eviction may trim later:
   // freeze the estimate while the evidence is at its freshest.
   for (const std::uint32_t i : dirty_) {
@@ -234,8 +177,19 @@ void LiveEngine::retire(std::size_t i) {
     // at least one packet at retirement, so empty means invalid.
     states_[i].retired_runs.clear();
   }
-  conn.packets.clear();
-  conn.packets.shrink_to_fit();
+  release_retired(i);
+  states_[i].retired = true;
+  ++retired_;
+  ++stats_.connections_gc;
+  metrics().counter("live.connections_gc").inc();
+  TDAT_LOG_INFO("live: retired idle connection %s",
+                results_[i].key.to_string().c_str());
+}
+
+void LiveEngine::release_retired(std::size_t i) {
+  std::vector<DecodedPacket>& pkts = demux_.connections()[i].packets;
+  pkts.clear();
+  pkts.shrink_to_fit();
   ConnectionAnalysis& a = results_[i];
   a.bundle = SeriesBundle{};
   // Keep the OPENs: peer-AS attribution in snapshots survives GC, while the
@@ -244,11 +198,6 @@ void LiveEngine::retire(std::size_t i) {
     return m.msg.type() != BgpType::kOpen;
   });
   a.messages.shrink_to_fit();
-  states_[i].retired = true;
-  ++retired_;
-  ++stats_.connections_gc;
-  metrics().counter("live.connections_gc").inc();
-  TDAT_LOG_INFO("live: retired idle connection %s", a.key.to_string().c_str());
 }
 
 void LiveEngine::drain() {
@@ -368,7 +317,7 @@ Result<Unit> LiveEngine::restore_state(const LiveCheckpoint& ckpt,
       std::uint64_t replayed = 0;
       while (replayed < run.count) {
         const std::uint64_t batch =
-            std::min<std::uint64_t>(run.count - replayed, kLiveIngestBatch);
+            std::min<std::uint64_t>(run.count - replayed, kIngestBatch);
         recs.clear();
         for (std::uint64_t k = 0; k < batch; ++k) {
           StreamRecord rec;
@@ -381,34 +330,18 @@ Result<Unit> LiveEngine::restore_state(const LiveCheckpoint& ckpt,
           recs.push_back(std::move(rec));
         }
         const std::uint64_t base_index = run.first_index + replayed;
-        std::size_t off = 0;
-        std::uint64_t produced = 0;
-        while (off < recs.size()) {
-          pkts.clear();
-          off += decode_records(
-              std::span<const StreamRecord>(recs).subspan(off),
-              static_cast<std::size_t>(base_index) + off,
-              opts_.analyzer.verify_checksums, decode_scratch_, pkts);
-          for (DecodedPacket& pkt : pkts) {
-            // Every record in a run decoded to a packet of this connection
-            // when the checkpoint was written; decode is deterministic, so
-            // anything else means the capture changed underneath.
-            if (pkt.index != base_index + produced) {
-              return Err<Unit>("restore: replay produced unexpected record "
-                               "index (capture changed?)");
-            }
-            const StreamRecord& rec = recs[pkt.index - base_index];
-            pkt.rec_offset = rec.file_offset;
-            pkt.rec_len = static_cast<std::uint32_t>(kRecordHeaderLen +
-                                                     rec.data.size());
-            ingest_packet(std::move(pkt));
-            ++produced;
-          }
-        }
-        if (produced != batch) {
+        pkts.clear();
+        decode_record_span(recs, static_cast<std::size_t>(base_index),
+                           opts_.analyzer.verify_checksums, decode_scratch_,
+                           pkts);
+        // Every record in a run decoded to a packet of this connection when
+        // the checkpoint was written; decode is deterministic, so a record
+        // that no longer decodes means the capture changed underneath.
+        if (pkts.size() != batch) {
           return Err<Unit>("restore: replay dropped records of a "
                            "checkpointed run (capture changed?)");
         }
+        for (DecodedPacket& pkt : pkts) ingest_packet(std::move(pkt));
         replayed += batch;
       }
     }
@@ -426,19 +359,11 @@ Result<Unit> LiveEngine::restore_state(const LiveCheckpoint& ckpt,
   // One analysis pass over everything (analyze_connection is pure, so this
   // equals the incremental analyses the uninterrupted run performed), then
   // re-trim the retired connections exactly as retire() does — without
-  // touching counters, which are restored from the checkpoint below.
+  // touching the GC counters, which are restored from the checkpoint below.
   analyze_dirty();
   for (std::size_t ci = 0; ci < ckpt.conns.size(); ++ci) {
     if (!ckpt.conns[ci].retired) continue;
-    Connection& conn = demux_.connections()[ci];
-    conn.packets.clear();
-    conn.packets.shrink_to_fit();
-    ConnectionAnalysis& a = results_[ci];
-    a.bundle = SeriesBundle{};
-    std::erase_if(a.messages, [](const TimedBgpMessage& msg) {
-      return msg.msg.type() != BgpType::kOpen;
-    });
-    a.messages.shrink_to_fit();
+    release_retired(ci);
     states_[ci].retired = true;
     states_[ci].retired_runs = ckpt.conns[ci].runs;
     ++retired_;
@@ -470,7 +395,7 @@ PipelineStats LiveEngine::pipeline_stats() const {
     if (a.quarantined()) ++stats.quarantined;
   }
   stats.ingest = source_.diagnostics();
-  stats.jobs = live_jobs(opts_.analyzer.jobs, results_.size());
+  stats.jobs = resolve_jobs(opts_.analyzer.jobs, results_.size());
   stats.ingest_wall = ingest_wall_;
   stats.analyze_wall = analyze_wall_;
   stats.total_wall = total_wall_;

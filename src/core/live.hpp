@@ -128,6 +128,8 @@ class LiveEngine {
   void evict_window();
   void gc_idle();
   void retire(std::size_t i);
+  // Frees a retired connection's packets, series, and non-OPEN messages.
+  void release_retired(std::size_t i);
 
   struct ConnState {
     Micros last_ts = -1;  // newest packet timestamp (pre-clamp)

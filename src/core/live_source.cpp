@@ -7,7 +7,6 @@
 #include <sys/stat.h>
 #endif
 
-#include "pcap/decode.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 
@@ -80,10 +79,9 @@ bool RingBufferFeed::closed() const {
 // ------------------------------------------------------- RingBufferSource --
 
 RingBufferSource::RingBufferSource(std::shared_ptr<RingBufferFeed> feed,
-                                   bool verify_checksums,
+                                   bool /*verify_checksums*/,
                                    const IngestPolicy& policy)
-    : feed_(std::move(feed)), policy_(policy),
-      verify_checksums_(verify_checksums) {}
+    : feed_(std::move(feed)), policy_(policy) {}
 
 bool RingBufferSource::try_open() {
   if (stream_) return true;
@@ -102,26 +100,6 @@ bool RingBufferSource::try_open() {
   return true;
 }
 
-bool RingBufferSource::next(DecodedPacket& out) {
-  if (!try_open()) return false;
-  StreamRecord rec;
-  for (;;) {
-    const StreamStatus st = stream_->next_live(rec);
-    if (st == StreamStatus::kEnd) {
-      ended_ = true;
-      return false;
-    }
-    if (st == StreamStatus::kNeedMore) return false;
-    const std::size_t i = index_++;
-    if (rec.data.size() < rec.orig_len) continue;  // truncated capture
-    if (auto pkt = decode_frame(rec.ts, i, rec.data, verify_checksums_,
-                                rec.arena)) {
-      out = std::move(*pkt);
-      return true;
-    }
-  }
-}
-
 std::size_t RingBufferSource::next_raw_records(std::span<StreamRecord> out) {
   if (!try_open()) return 0;
   std::size_t n = 0;
@@ -133,7 +111,6 @@ std::size_t RingBufferSource::next_raw_records(std::span<StreamRecord> out) {
     }
     ++n;
   }
-  index_ += n;
   return n;
 }
 
@@ -170,21 +147,17 @@ void RingBufferSource::begin_drain() {
 
 // ----------------------------------------------------------- FollowSource --
 
-FollowSource::FollowSource(std::string path, bool verify_checksums,
-                           const IngestPolicy& policy)
-    : path_(std::move(path)), policy_(policy),
-      verify_checksums_(verify_checksums) {
+FollowSource::FollowSource(std::string path, const IngestPolicy& policy)
+    : path_(std::move(path)), policy_(policy) {
   // Growth happens through fread + re-fstat; the mmap fast path snapshots a
   // fixed size at open and must not be used for a file still being written.
   policy_.use_mmap = false;
 }
 
-FollowSource::FollowSource(std::string path, bool verify_checksums,
-                           const IngestPolicy& policy,
+FollowSource::FollowSource(std::string path, const IngestPolicy& policy,
                            const PcapStream::Resume& resume)
-    : FollowSource(std::move(path), verify_checksums, policy) {
+    : FollowSource(std::move(path), policy) {
   resume_ = resume;
-  index_ = static_cast<std::size_t>(resume.records);
 }
 
 PcapStream::Resume FollowSource::resume_state() const {
@@ -244,31 +217,6 @@ void FollowSource::finalize_segment() {
   have_id_ = false;
 }
 
-bool FollowSource::next(DecodedPacket& out) {
-  StreamRecord rec;
-  for (;;) {
-    if (!stream_ && !try_open()) return false;
-    const StreamStatus st = stream_->next_live(rec);
-    if (st == StreamStatus::kNeedMore) return false;
-    if (st == StreamStatus::kEnd) {
-      finalize_segment();
-      if (rotated_ && !draining_) {
-        rotated_ = false;
-        continue;
-      }
-      ended_ = true;
-      return false;
-    }
-    const std::size_t i = index_++;
-    if (rec.data.size() < rec.orig_len) continue;  // truncated capture
-    if (auto pkt = decode_frame(rec.ts, i, rec.data, verify_checksums_,
-                                rec.arena)) {
-      out = std::move(*pkt);
-      return true;
-    }
-  }
-}
-
 std::size_t FollowSource::next_raw_records(std::span<StreamRecord> out) {
   std::size_t n = 0;
   while (n < out.size()) {
@@ -290,7 +238,6 @@ std::size_t FollowSource::next_raw_records(std::span<StreamRecord> out) {
     ended_ = true;
     break;
   }
-  index_ += n;
   return n;
 }
 

@@ -7,9 +7,9 @@
 //                     final), detects rotation (new inode at the path, or
 //                     the file shrinking under the reader — copytruncate),
 //                     drains the rotated-away segment to its real end with
-//                     batch semantics, and reopens the new file with a
-//                     continuous global record index — the same ordering
-//                     contract MultiFileSource gives rotated batch inputs.
+//                     batch semantics, and reopens the new file, continuing
+//                     the one record sequence — the same ordering contract
+//                     MultiFileSource gives rotated batch inputs.
 //   RingBufferSource  the same tail-mode streaming over an in-memory
 //                     RingBufferFeed, for tests and benches that append a
 //                     capture image in arbitrary chunks (mid-record splits
@@ -57,15 +57,14 @@ class RingBufferFeed final : public ByteFeed {
 // TraceSource over a RingBufferFeed. The pcap global header may arrive in
 // pieces: the stream is opened lazily once 24 bytes are buffered. A feed
 // whose first 24 bytes are not a valid pcap header is a hard failure
-// (failed()/error()), not something to wait out.
+// (failed()/error()), not something to wait out. verify_checksums is
+// ignored (core/trace_source.hpp).
 class RingBufferSource final : public TraceSource {
  public:
   explicit RingBufferSource(std::shared_ptr<RingBufferFeed> feed,
                             bool verify_checksums,
                             const IngestPolicy& policy = {});
 
-  [[nodiscard]] bool next(DecodedPacket& out) override;
-  [[nodiscard]] bool supports_raw_records() const override { return true; }
   [[nodiscard]] std::size_t next_raw_records(
       std::span<StreamRecord> out) override;
   [[nodiscard]] std::uint64_t bytes_ingested() const override;
@@ -84,9 +83,7 @@ class RingBufferSource final : public TraceSource {
 
   std::shared_ptr<RingBufferFeed> feed_;
   IngestPolicy policy_;
-  bool verify_checksums_;
   std::optional<PcapStream> stream_;
-  std::size_t index_ = 0;
   bool draining_ = false;
   bool ended_ = false;
   bool failed_ = false;
@@ -99,8 +96,7 @@ class RingBufferSource final : public TraceSource {
 // is there but is not a pcap) surface through failed()/error().
 class FollowSource final : public TraceSource {
  public:
-  FollowSource(std::string path, bool verify_checksums,
-               const IngestPolicy& policy = {});
+  explicit FollowSource(std::string path, const IngestPolicy& policy = {});
 
   // Resuming construction (checkpoint restore): the first segment opens
   // mid-file at `resume` — the stream continues as if it had itself read the
@@ -108,11 +104,9 @@ class FollowSource final : public TraceSource {
   // uninterrupted follow. A failed resume open (capture no longer seekable
   // to the offset) is a hard failure surfaced via failed(), which the caller
   // turns into a full-replay fallback.
-  FollowSource(std::string path, bool verify_checksums,
-               const IngestPolicy& policy, const PcapStream::Resume& resume);
+  FollowSource(std::string path, const IngestPolicy& policy,
+               const PcapStream::Resume& resume);
 
-  [[nodiscard]] bool next(DecodedPacket& out) override;
-  [[nodiscard]] bool supports_raw_records() const override { return true; }
   [[nodiscard]] std::size_t next_raw_records(
       std::span<StreamRecord> out) override;
   [[nodiscard]] std::uint64_t bytes_ingested() const override;
@@ -152,7 +146,6 @@ class FollowSource final : public TraceSource {
 
   std::string path_;
   IngestPolicy policy_;
-  bool verify_checksums_;
   std::optional<PcapStream> stream_;
   // Identity (st_dev, st_ino) of the open segment, for rotation detection.
   std::uint64_t dev_ = 0;
@@ -169,7 +162,6 @@ class FollowSource final : public TraceSource {
   std::uint64_t past_bytes_ = 0;
   std::uint64_t past_records_ = 0;
   std::vector<FileIngestDiagnostics> past_files_;
-  std::size_t index_ = 0;  // continuous global record index
   // Pending checkpoint-resume position for the first open; consumed by
   // try_open.
   std::optional<PcapStream::Resume> resume_;

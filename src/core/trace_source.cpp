@@ -5,41 +5,16 @@
 #include <system_error>
 #include <utility>
 
-#include "pcap/decode.hpp"
-
 namespace tdat {
-
-// ---------------------------------------------------- PacketVectorSource --
-
-bool PacketVectorSource::next(DecodedPacket& out) {
-  if (next_ >= packets_.size()) return false;
-  out = std::move(packets_[next_++]);
-  bytes_ += out.frame.size();
-  return true;
-}
 
 // ------------------------------------------------------- PcapFileSource --
 
-PcapFileSource::PcapFileSource(const PcapFile& file, bool verify_checksums)
-    : file_(&file), verify_checksums_(verify_checksums) {
+PcapFileSource::PcapFileSource(const PcapFile& file) : file_(&file) {
   // Account ingest from the capture's view — the 24-byte pcap global header
   // plus record headers and stored bytes, matching PcapStream::bytes_read()
   // byte for byte.
   bytes_ = 24;
   for (const PcapRecord& rec : file.records) bytes_ += 16 + rec.data.size();
-}
-
-bool PcapFileSource::next(DecodedPacket& out) {
-  while (next_ < file_->records.size()) {
-    const std::size_t i = next_++;
-    const PcapRecord& rec = file_->records[i];
-    if (rec.data.size() < rec.orig_len) continue;  // truncated capture
-    if (auto pkt = decode_frame(rec.ts, i, rec.data, verify_checksums_)) {
-      out = std::move(*pkt);
-      return true;
-    }
-  }
-  return false;
 }
 
 std::size_t PcapFileSource::next_raw_records(std::span<StreamRecord> out) {
@@ -51,8 +26,7 @@ std::size_t PcapFileSource::next_raw_records(std::span<StreamRecord> out) {
     r.orig_len = rec.orig_len;
     r.data = std::span<const std::uint8_t>(rec.data);
     // No pin: the file outlives the source by contract, and a null arena
-    // makes the batch decoder copy the frame — exactly what decode_frame
-    // does on this path.
+    // makes the batch decoder copy the frame.
     r.arena = nullptr;
   }
   return n;
@@ -61,45 +35,26 @@ std::size_t PcapFileSource::next_raw_records(std::span<StreamRecord> out) {
 // ----------------------------------------------------- PcapStreamSource --
 
 Result<PcapStreamSource> PcapStreamSource::open(const std::string& path,
-                                                bool verify_checksums,
+                                                bool /*verify_checksums*/,
                                                 const IngestPolicy& policy) {
   return PcapStream::open_auto(path, policy)
-      .map([verify_checksums, &path](PcapStream stream) {
-        PcapStreamSource src(std::move(stream), verify_checksums);
+      .map([&path](PcapStream stream) {
+        PcapStreamSource src(std::move(stream));
         src.path_ = path;
         return src;
       });
 }
 
-bool PcapStreamSource::next(DecodedPacket& out) {
-  StreamRecord rec;
-  while (stream_.next(rec)) {
-    const std::size_t i = index_++;
-    if (rec.data.size() < rec.orig_len) continue;  // truncated capture
-    // The record's arena chunk rides along as the packet's backing, so no
-    // frame bytes are copied; the chunk is freed once the last packet in it
-    // is gone.
-    if (auto pkt = decode_frame(rec.ts, i, rec.data, verify_checksums_,
-                                rec.arena)) {
-      out = std::move(*pkt);
-      return true;
-    }
-  }
-  return false;
-}
-
 std::size_t PcapStreamSource::next_raw_records(std::span<StreamRecord> out) {
   std::size_t n = 0;
   while (n < out.size() && stream_.next(out[n])) ++n;
-  index_ += n;
   return n;
 }
 
 // ------------------------------------------------------ MultiFileSource --
 
 Result<MultiFileSource> MultiFileSource::open(
-    const std::vector<std::string>& inputs, bool verify_checksums,
-    const IngestPolicy& policy) {
+    const std::vector<std::string>& inputs, const IngestPolicy& policy) {
   std::vector<std::string> files;
   for (const std::string& input : inputs) {
     std::error_code ec;
@@ -124,7 +79,6 @@ Result<MultiFileSource> MultiFileSource::open(
   if (files.empty()) return Err<MultiFileSource>("pcap: no input captures");
 
   MultiFileSource src;
-  src.verify_checksums_ = verify_checksums;
   src.parts_.reserve(files.size());
   for (const std::string& file : files) {
     auto stream = PcapStream::open_auto(file, policy);
@@ -135,33 +89,13 @@ Result<MultiFileSource> MultiFileSource::open(
   }
   // Rotation order == first-record timestamp order; stable so equal
   // timestamps keep the (sorted) name order. Empty captures sort last and
-  // are skipped by next().
+  // are skipped by next_raw_records().
   std::stable_sort(src.parts_.begin(), src.parts_.end(),
                    [](const Part& a, const Part& b) {
                      if (a.has_pending != b.has_pending) return a.has_pending;
                      return a.has_pending && a.pending.ts < b.pending.ts;
                    });
   return src;
-}
-
-bool MultiFileSource::next(DecodedPacket& out) {
-  while (current_ < parts_.size()) {
-    Part& part = parts_[current_];
-    if (!part.has_pending) {
-      ++current_;
-      continue;
-    }
-    const std::size_t i = index_++;
-    StreamRecord rec = std::move(part.pending);
-    part.has_pending = part.stream.next(part.pending);
-    if (rec.data.size() < rec.orig_len) continue;  // truncated capture
-    if (auto pkt = decode_frame(rec.ts, i, rec.data, verify_checksums_,
-                                rec.arena)) {
-      out = std::move(*pkt);
-      return true;
-    }
-  }
-  return false;
 }
 
 std::size_t MultiFileSource::next_raw_records(std::span<StreamRecord> out) {
@@ -175,7 +109,6 @@ std::size_t MultiFileSource::next_raw_records(std::span<StreamRecord> out) {
     out[n++] = std::move(part.pending);
     part.has_pending = part.stream.next(part.pending);
   }
-  index_ += n;
   return n;
 }
 
@@ -207,32 +140,16 @@ void MultiFileSource::collect_file_diagnostics(
 // ------------------------------------------------------ OffsetRunSource --
 
 Result<OffsetRunSource> OffsetRunSource::open(const std::string& path,
-                                              std::vector<RecordRun> runs,
-                                              bool verify_checksums) {
+                                              std::vector<RecordRun> runs) {
   TDAT_TRY(mapped, MappedFile::map(path));
   TDAT_TRY(reader, RecordRunReader::open(mapped.share(), mapped.bytes(),
                                          std::move(runs)));
-  return OffsetRunSource(std::move(reader), verify_checksums);
-}
-
-bool OffsetRunSource::next(DecodedPacket& out) {
-  StreamRecord rec;
-  while (reader_.next(rec)) {
-    const std::size_t i = index_++;
-    if (rec.data.size() < rec.orig_len) continue;  // truncated capture
-    if (auto pkt = decode_frame(rec.ts, i, rec.data, verify_checksums_,
-                                rec.arena)) {
-      out = std::move(*pkt);
-      return true;
-    }
-  }
-  return false;
+  return OffsetRunSource(std::move(reader));
 }
 
 std::size_t OffsetRunSource::next_raw_records(std::span<StreamRecord> out) {
   std::size_t n = 0;
   while (n < out.size() && reader_.next(out[n])) ++n;
-  index_ += n;
   return n;
 }
 

@@ -1,31 +1,36 @@
 // The single ingest abstraction of the analysis pipeline: a TraceSource
-// yields decoded TCP packets one at a time, plus the capture-level accounting
-// (bytes, records) PipelineStats reports. run_pipeline(core/analyzer.hpp)
-// consumes any source the same way, so the in-memory PcapFile path, the
-// streaming file path, and the rotated multi-file path share one pipeline —
-// there is no per-path ingest loop left to keep bit-identical by hand.
+// serves raw pcap records in capture order, plus the capture-level
+// accounting (bytes, records) PipelineStats reports. run_pipeline
+// (core/analyzer.hpp) and the live engine (core/live.hpp) decode and demux
+// every source through the same batched ingest stage
+// (core/ingest_pipeline.hpp), so the in-memory PcapFile path, the streaming
+// file path, the rotated multi-file path, and the fleet shard path share one
+// pipeline — there is no per-path ingest loop left to keep bit-identical by
+// hand.
 //
 // Sources and accounting:
-//   PacketVectorSource  pre-decoded packets (analyze_packets); bytes = frame
-//                       bytes, records = 0 (no capture headers were seen).
-//   PcapFileSource      in-memory PcapFile (analyze_trace); decodes exactly
-//                       like decode_pcap (skips truncated records, packet
-//                       index = record position); bytes = 24-byte global
-//                       header + per-record 16-byte header + stored bytes,
-//                       matching PcapStream::bytes_read byte for byte.
-//   PcapStreamSource    chunked streaming file ingest (analyze_file);
+//   PcapFileSource      in-memory PcapFile (analyze_trace); bytes = 24-byte
+//                       global header + per-record 16-byte header + stored
+//                       bytes, matching PcapStream::bytes_read byte for byte.
+//   PcapStreamSource    chunked or mmap streaming file ingest (analyze_file);
 //                       zero-copy arena-backed frames.
 //   MultiFileSource     rotated captures: opens every file (or every *.pcap
 //                       in a directory), orders the files by their first
-//                       record timestamp, and concatenates them with a
-//                       continuous global record index.
+//                       record timestamp, and concatenates them.
+//   OffsetRunSource     a fleet worker's shard: only the records named by a
+//                       shard plan's offset runs.
+//   RingBufferSource,   live inputs that have no end yet
+//   FollowSource        (core/live_source.hpp).
+//
+// Checksum verification is the decoder's job (AnalyzerOptions
+// verify_checksums); the verify_checksums argument PcapStreamSource::open
+// and RingBufferSource still accept is ignored.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "pcap/mmap_file.hpp"
-#include "pcap/packet.hpp"
 #include "pcap/pcap_file.hpp"
 #include "pcap/pcap_stream.hpp"
 #include "pcap/record_runs.hpp"
@@ -37,23 +42,11 @@ class TraceSource {
  public:
   virtual ~TraceSource() = default;
 
-  // Fetches the next decoded packet. False at end of source.
-  [[nodiscard]] virtual bool next(DecodedPacket& out) = 0;
-
-  // Raw-record batch access, the input of the batched/parallel ingest stage
-  // (core/ingest_pipeline.hpp). A source returning true from
-  // supports_raw_records() serves its records undecoded through
-  // next_raw_records: fills out[0..n) in capture order and returns n (0 at
-  // end of source). The caller assigns trace indices by counting records —
-  // one per raw record, decoded or not — which reproduces next()'s index
-  // assignment exactly. Mixing next() and next_raw_records() on one source
-  // is not supported.
-  [[nodiscard]] virtual bool supports_raw_records() const { return false; }
+  // Fills out[0..n) with the next raw records in capture order and returns
+  // n (0 at end of source). The caller assigns trace indices by counting
+  // records — one per raw record, decoded or not.
   [[nodiscard]] virtual std::size_t next_raw_records(
-      std::span<StreamRecord> out) {
-    (void)out;
-    return 0;
-  }
+      std::span<StreamRecord> out) = 0;
 
   // Capture bytes consumed so far (headers included where the source sees
   // them) and pcap records seen (decoded or not). Stable after exhaustion.
@@ -72,7 +65,7 @@ class TraceSource {
   }
 
   // ---- Live-source extension (core/live_source.hpp implements these) ----
-  // While live() is true, next()/next_raw_records() returning no records is
+  // While live() is true, next_raw_records() returning no records is
   // provisional — the capture is still being written. The caller polls
   // poll_live() (re-stat a followed file, check a feed) and retries; once
   // the input is known to be finished it calls begin_drain(), after which
@@ -84,30 +77,12 @@ class TraceSource {
   virtual void begin_drain() {}
 };
 
-// Pre-decoded packets, handed out in order. Owns the vector.
-class PacketVectorSource final : public TraceSource {
- public:
-  explicit PacketVectorSource(std::vector<DecodedPacket> packets)
-      : packets_(std::move(packets)) {}
-
-  [[nodiscard]] bool next(DecodedPacket& out) override;
-  [[nodiscard]] std::uint64_t bytes_ingested() const override { return bytes_; }
-  [[nodiscard]] std::uint64_t records_seen() const override { return 0; }
-
- private:
-  std::vector<DecodedPacket> packets_;
-  std::size_t next_ = 0;
-  std::uint64_t bytes_ = 0;
-};
-
 // In-memory PcapFile. The file must outlive the source (frames are spans
 // into its record buffers).
 class PcapFileSource final : public TraceSource {
  public:
-  PcapFileSource(const PcapFile& file, bool verify_checksums);
+  explicit PcapFileSource(const PcapFile& file);
 
-  [[nodiscard]] bool next(DecodedPacket& out) override;
-  [[nodiscard]] bool supports_raw_records() const override { return true; }
   [[nodiscard]] std::size_t next_raw_records(
       std::span<StreamRecord> out) override;
   [[nodiscard]] std::uint64_t bytes_ingested() const override { return bytes_; }
@@ -120,7 +95,6 @@ class PcapFileSource final : public TraceSource {
 
  private:
   const PcapFile* file_;
-  bool verify_checksums_;
   std::size_t next_ = 0;
   std::uint64_t bytes_ = 0;
 };
@@ -133,14 +107,8 @@ class PcapStreamSource final : public TraceSource {
       const std::string& path, bool verify_checksums,
       const IngestPolicy& policy = {});
 
-  explicit PcapStreamSource(PcapStream stream, bool verify_checksums,
-                            std::size_t first_index = 0)
-      : stream_(std::move(stream)),
-        verify_checksums_(verify_checksums),
-        index_(first_index) {}
+  explicit PcapStreamSource(PcapStream stream) : stream_(std::move(stream)) {}
 
-  [[nodiscard]] bool next(DecodedPacket& out) override;
-  [[nodiscard]] bool supports_raw_records() const override { return true; }
   [[nodiscard]] std::size_t next_raw_records(
       std::span<StreamRecord> out) override;
   [[nodiscard]] std::uint64_t bytes_ingested() const override {
@@ -156,14 +124,8 @@ class PcapStreamSource final : public TraceSource {
       std::vector<FileIngestDiagnostics>& out) const override {
     if (!path_.empty()) out.push_back({path_, stream_.diagnostics()});
   }
-  // Global record index after the records served so far (for multi-file
-  // concatenation).
-  [[nodiscard]] std::size_t next_index() const { return index_; }
-
  private:
   PcapStream stream_;
-  bool verify_checksums_;
-  std::size_t index_;
   std::string path_;  // empty for memory-backed streams
 };
 
@@ -171,15 +133,12 @@ class PcapStreamSource final : public TraceSource {
 // directories; a directory contributes every regular file directly inside it
 // (a rotated-capture drop usually holds nothing else; name them *.pcap).
 // Files are ordered by the timestamp of their first record — rotation order —
-// then streamed back to back with a continuous global record index.
+// then streamed back to back.
 class MultiFileSource final : public TraceSource {
  public:
   [[nodiscard]] static Result<MultiFileSource> open(
-      const std::vector<std::string>& inputs, bool verify_checksums,
-      const IngestPolicy& policy = {});
+      const std::vector<std::string>& inputs, const IngestPolicy& policy = {});
 
-  [[nodiscard]] bool next(DecodedPacket& out) override;
-  [[nodiscard]] bool supports_raw_records() const override { return true; }
   [[nodiscard]] std::size_t next_raw_records(
       std::span<StreamRecord> out) override;
   [[nodiscard]] std::uint64_t bytes_ingested() const override;
@@ -202,8 +161,6 @@ class MultiFileSource final : public TraceSource {
 
   std::vector<Part> parts_;  // ordered by first-record timestamp
   std::size_t current_ = 0;
-  std::size_t index_ = 0;    // continuous global record index
-  bool verify_checksums_ = false;
 };
 
 // Fleet-worker ingest: mmaps the capture and serves only the records named
@@ -216,12 +173,9 @@ class MultiFileSource final : public TraceSource {
 // ingest error rather than silently returning a partial archive.
 class OffsetRunSource final : public TraceSource {
  public:
-  [[nodiscard]] static Result<OffsetRunSource> open(const std::string& path,
-                                                    std::vector<RecordRun> runs,
-                                                    bool verify_checksums);
+  [[nodiscard]] static Result<OffsetRunSource> open(
+      const std::string& path, std::vector<RecordRun> runs);
 
-  [[nodiscard]] bool next(DecodedPacket& out) override;
-  [[nodiscard]] bool supports_raw_records() const override { return true; }
   [[nodiscard]] std::size_t next_raw_records(
       std::span<StreamRecord> out) override;
   // The 24-byte global header is charged here (the plan made this worker read
@@ -238,12 +192,10 @@ class OffsetRunSource final : public TraceSource {
   [[nodiscard]] const std::string& error() const { return reader_.error(); }
 
  private:
-  OffsetRunSource(RecordRunReader reader, bool verify_checksums)
-      : reader_(std::move(reader)), verify_checksums_(verify_checksums) {}
+  explicit OffsetRunSource(RecordRunReader reader)
+      : reader_(std::move(reader)) {}
 
   RecordRunReader reader_;
-  bool verify_checksums_;
-  std::size_t index_ = 0;  // local indices; archives never depend on them
 };
 
 }  // namespace tdat

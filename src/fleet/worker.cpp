@@ -115,8 +115,7 @@ bool serve_assignment(int fd, std::mutex& write_mu,
   Heartbeater heartbeat(fd, write_mu, assign.worker_id, assign.shard_index,
                         assign.heartbeat_ms);
 
-  auto source = OffsetRunSource::open(assign.capture, assign.runs,
-                                      assign.verify_checksums != 0);
+  auto source = OffsetRunSource::open(assign.capture, assign.runs);
   if (!source.ok()) {
     return send_error(fd, write_mu, assign, source.error());
   }

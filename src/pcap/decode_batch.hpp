@@ -11,11 +11,11 @@
 // else falls through to the exact option walk decode_frame uses.
 //
 // Contract: for every record, the emitted packet (or the decision to skip
-// it) is bit-identical to PcapStreamSource::next's per-record logic —
-// including the truncated-capture skip (data shorter than orig_len), the
-// checksum-verification rejects, and the copy-when-unpinned backing rule.
-// decode_batch_differential_test holds the two paths equal on adversarial
-// corpora.
+// it) is bit-identical to skipping truncated records (data shorter than
+// orig_len) and calling decode_frame(rec.ts, index, rec.data, verify,
+// rec.arena) on the rest — checksum-verification rejects and the
+// copy-when-unpinned backing rule included. tests/decode_batch_test.cpp
+// holds the two equal on adversarial corpora.
 #pragma once
 
 #include <cstdint>

@@ -273,17 +273,20 @@ bool PcapStream::refill(std::size_t n) {
   // record header may claim gigabytes the file does not contain — bound the
   // arena allocation below by what the source can still deliver instead of
   // trusting the claim.
-  const std::size_t remaining = source_remaining();
+  std::size_t remaining = source_remaining();
   if (remaining == 0) return false;
-  // An open feed that cannot satisfy the request yet: bail before touching
-  // the arenas, so a tail-mode poll loop doesn't churn a relocation per poll.
+  const std::size_t tail = arena_ ? fill_ - pos_ : 0;
   if (feed_ && !feed_->closed()) {
-    const std::size_t tail_now = arena_ ? fill_ - pos_ : 0;
-    if (tail_now + feed_->available() < n) return false;
+    // An open feed can deliver what is buffered in it now, no more: size the
+    // arena to that instead of a whole chunk — retained records pin their
+    // arena, so a chunk-sized arena per small append is mostly waste. And
+    // when the request cannot be satisfied yet, bail before touching the
+    // arenas, so a tail-mode poll loop doesn't churn a relocation per poll.
+    remaining = feed_->available();
+    if (tail + remaining < n) return false;
   }
   TDAT_TRACE_SPAN("pcap.refill", "pcap");
   const std::int64_t t0 = monotonic_micros();
-  const std::size_t tail = arena_ ? fill_ - pos_ : 0;
   std::size_t want = std::max(chunk_size_, n);
   if (remaining != SIZE_MAX && want > tail + remaining) {
     want = tail + remaining;

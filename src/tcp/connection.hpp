@@ -28,11 +28,9 @@ struct ConnKey {
 
 [[nodiscard]] ConnKey make_conn_key(const DecodedPacket& pkt);
 
-// 64-bit mix of the canonical key. Shared between the demux table below and
-// the parallel ingest pipeline's demux sharding (core/ingest_pipeline.cpp):
-// both sides using the same hash keeps a connection's packets on one shard
-// AND well-spread inside that shard's table (the shard takes the high bits,
-// the table index the low bits).
+// 64-bit mix of the canonical key. The demux table below indexes by its low
+// bits; fleet shard planning (fleet/shard_plan.hpp, `tdat shard`) assigns a
+// connection to shard hash % shards.
 [[nodiscard]] std::uint64_t conn_key_hash(const ConnKey& key);
 
 enum class Dir : std::uint8_t { kAToB, kBToA };

@@ -271,8 +271,7 @@ Rendered render(LiveEngine& engine, TraceSource& source) {
 // the per-file ingest diagnostics in the JSON match what FollowSource
 // reports for the followed path.
 Rendered batch_run(const std::string& path, const AnalyzerOptions& opts) {
-  auto opened = MultiFileSource::open({path}, opts.verify_checksums,
-                                      opts.ingest);
+  auto opened = MultiFileSource::open({path}, opts.ingest);
   EXPECT_TRUE(opened.ok()) << opened.error();
   MultiFileSource source = std::move(opened).value();
   const TraceAnalysis ta = run_pipeline(source, opts);
@@ -287,9 +286,8 @@ Rendered batch_run(const std::string& path, const AnalyzerOptions& opts) {
 
 // The uninterrupted reference: follow the (already complete) file with the
 // same epoch batch size the killed run uses, then drain.
-Rendered follow_run(const std::string& path, const LiveOptions& lopts,
-                    bool verify_checksums) {
-  FollowSource source(path, verify_checksums, lopts.analyzer.ingest);
+Rendered follow_run(const std::string& path, const LiveOptions& lopts) {
+  FollowSource source(path, lopts.analyzer.ingest);
   LiveEngine engine(source, lopts);
   while (engine.run_epoch() > 0) {
   }
@@ -303,9 +301,8 @@ Rendered follow_run(const std::string& path, const LiveOptions& lopts,
 // returned checkpoint is what the next process finds on disk.
 Result<LiveCheckpoint> run_and_kill(const std::string& path,
                                     const LiveOptions& lopts,
-                                    bool verify_checksums,
                                     std::size_t epochs_before_kill) {
-  FollowSource source(path, verify_checksums, lopts.analyzer.ingest);
+  FollowSource source(path, lopts.analyzer.ingest);
   LiveEngine engine(source, lopts);
   for (std::size_t e = 0; e < epochs_before_kill; ++e) {
     (void)engine.run_epoch();
@@ -329,13 +326,13 @@ Result<LiveCheckpoint> run_and_kill(const std::string& path,
 // Restores a fresh engine from `ckpt`, continues to the end of the capture,
 // drains, renders — the restart half of the kill/restore cycle.
 Rendered restore_and_drain(const std::string& path, const LiveCheckpoint& ckpt,
-                           const LiveOptions& lopts, bool verify_checksums) {
+                           const LiveOptions& lopts) {
   PcapStream::Resume resume;
   resume.offset = ckpt.resume_offset;
   resume.records = ckpt.records_seen;
   resume.last_ts = ckpt.stream_last_ts;
   resume.diag = ckpt.diag;
-  FollowSource source(path, verify_checksums, lopts.analyzer.ingest, resume);
+  FollowSource source(path, lopts.analyzer.ingest, resume);
   LiveEngine engine(source, lopts);
   auto restored = engine.restore_state(ckpt, path);
   EXPECT_TRUE(restored.ok()) << restored.error();
@@ -364,7 +361,7 @@ TEST(ChaosRestore, KillAtEveryEpochMatchesBatch) {
   // Establish how many epochs the capture takes, then kill at each of them.
   std::size_t total_epochs = 0;
   {
-    FollowSource source(path, opts.verify_checksums, opts.ingest);
+    FollowSource source(path, opts.ingest);
     LiveEngine engine(source, lopts);
     while (engine.run_epoch() > 0) ++total_epochs;
   }
@@ -372,11 +369,9 @@ TEST(ChaosRestore, KillAtEveryEpochMatchesBatch) {
 
   for (std::size_t kill = 1; kill <= total_epochs; ++kill) {
     SCOPED_TRACE("kill after epoch " + std::to_string(kill));
-    auto ckpt = run_and_kill(path, lopts, opts.verify_checksums, kill);
+    auto ckpt = run_and_kill(path, lopts, kill);
     ASSERT_TRUE(ckpt.ok()) << ckpt.error();
-    expect_same(
-        restore_and_drain(path, ckpt.value(), lopts, opts.verify_checksums),
-        batch);
+    expect_same(restore_and_drain(path, ckpt.value(), lopts), batch);
   }
   std::remove(path.c_str());
 }
@@ -405,11 +400,9 @@ TEST(ChaosRestore, KillAndRestoreOnDamagedCaptures) {
     lopts.epoch_batch_records = 128;
     for (const std::size_t kill : {std::size_t{1}, std::size_t{3}}) {
       SCOPED_TRACE("kill after epoch " + std::to_string(kill));
-      auto ckpt = run_and_kill(path, lopts, opts.verify_checksums, kill);
+      auto ckpt = run_and_kill(path, lopts, kill);
       ASSERT_TRUE(ckpt.ok()) << ckpt.error();
-      expect_same(
-          restore_and_drain(path, ckpt.value(), lopts, opts.verify_checksums),
-          batch);
+      expect_same(restore_and_drain(path, ckpt.value(), lopts), batch);
     }
     std::remove(path.c_str());
   }
@@ -425,25 +418,23 @@ TEST(ChaosRestore, GcOnlyRestoreMatchesUninterrupted) {
   lopts.analyzer = opts;
   lopts.idle_gc = 30 * kMicrosPerSec;
   lopts.epoch_batch_records = 64;
-  const Rendered uninterrupted =
-      follow_run(path, lopts, opts.verify_checksums);
+  const Rendered uninterrupted = follow_run(path, lopts);
   ASSERT_GT(uninterrupted.gc, 0u)
       << "capture never leaves a connection idle long enough to retire";
 
   std::size_t total_epochs = 0;
   {
-    FollowSource source(path, opts.verify_checksums, opts.ingest);
+    FollowSource source(path, opts.ingest);
     LiveEngine engine(source, lopts);
     while (engine.run_epoch() > 0) ++total_epochs;
   }
   bool saw_gc = false;
   for (std::size_t kill = 2; kill <= total_epochs; kill += 3) {
     SCOPED_TRACE("kill after epoch " + std::to_string(kill));
-    auto ckpt = run_and_kill(path, lopts, opts.verify_checksums, kill);
+    auto ckpt = run_and_kill(path, lopts, kill);
     ASSERT_TRUE(ckpt.ok()) << ckpt.error();
     saw_gc = saw_gc || ckpt.value().connections_gc > 0;
-    const Rendered restored =
-        restore_and_drain(path, ckpt.value(), lopts, opts.verify_checksums);
+    const Rendered restored = restore_and_drain(path, ckpt.value(), lopts);
     expect_same(restored, uninterrupted);
     EXPECT_EQ(restored.gc, uninterrupted.gc);
   }
@@ -464,12 +455,10 @@ TEST(ChaosRestore, WindowedRestoreIsDeterministic) {
   lopts.idle_gc = 30 * kMicrosPerSec;
   lopts.epoch_batch_records = 64;
 
-  auto ckpt = run_and_kill(path, lopts, opts.verify_checksums, 6);
+  auto ckpt = run_and_kill(path, lopts, 6);
   ASSERT_TRUE(ckpt.ok()) << ckpt.error();
-  const Rendered once =
-      restore_and_drain(path, ckpt.value(), lopts, opts.verify_checksums);
-  const Rendered twice =
-      restore_and_drain(path, ckpt.value(), lopts, opts.verify_checksums);
+  const Rendered once = restore_and_drain(path, ckpt.value(), lopts);
+  const Rendered twice = restore_and_drain(path, ckpt.value(), lopts);
   expect_same(once, twice);
   EXPECT_FALSE(once.agg.empty());
   std::remove(path.c_str());
@@ -481,10 +470,10 @@ TEST(ChaosRestore, RestoreRequiresFreshEngine) {
   LiveOptions lopts;
   lopts.analyzer = opts;
   lopts.epoch_batch_records = 256;
-  auto ckpt = run_and_kill(path, lopts, opts.verify_checksums, 2);
+  auto ckpt = run_and_kill(path, lopts, 2);
   ASSERT_TRUE(ckpt.ok()) << ckpt.error();
 
-  FollowSource source(path, opts.verify_checksums, opts.ingest);
+  FollowSource source(path, opts.ingest);
   LiveEngine engine(source, lopts);
   (void)engine.run_epoch();  // engine has state now
   EXPECT_FALSE(engine.restore_state(ckpt.value(), path).ok());

@@ -63,7 +63,7 @@ std::string packet_fingerprint(const DecodedPacket& p) {
   return out;
 }
 
-// The scalar reference: PcapStreamSource::next's per-record decision chain.
+// The scalar reference: decode_frame per record, skipping truncated captures.
 std::vector<std::string> scalar_decode(const std::vector<StreamRecord>& recs,
                                        bool verify) {
   std::vector<std::string> out;

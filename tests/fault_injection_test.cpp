@@ -49,7 +49,7 @@ TraceAnalysis analyze_image(const std::vector<std::uint8_t>& image,
                             const AnalyzerOptions& base, std::size_t jobs) {
   auto stream = PcapStream::from_memory(image, base.ingest);
   TDAT_EXPECTS(stream.ok());
-  PcapStreamSource source(std::move(stream.value()), base.verify_checksums);
+  PcapStreamSource source(std::move(stream.value()));
   AnalyzerOptions opts = base;
   opts.jobs = jobs;
   return run_pipeline(source, opts);

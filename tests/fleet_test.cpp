@@ -300,8 +300,7 @@ TEST(OffsetRunSource, OneShardPlanReproducesTheFullStream) {
   ASSERT_TRUE(plan.ok()) << plan.error();
   ASSERT_EQ(plan.value().shards.size(), 1u);
 
-  auto source = OffsetRunSource::open(path, plan.value().shards[0].runs,
-                                      /*verify_checksums=*/false);
+  auto source = OffsetRunSource::open(path, plan.value().shards[0].runs);
   ASSERT_TRUE(source.ok()) << source.error();
   AnalyzerOptions opts;
   const TraceAnalysis via_runs = run_pipeline(source.value(), opts);
@@ -323,10 +322,10 @@ TEST(OffsetRunSource, StalePlanFailsInsteadOfSilentlyDroppingRecords) {
   const std::string path = write_trace("fleet_stale.pcap", make_trace(1));
   // A run pointing beyond the capture: the plan no longer matches the image.
   std::vector<RecordRun> runs = {{1ull << 40, 5}};
-  auto source = OffsetRunSource::open(path, runs, false);
+  auto source = OffsetRunSource::open(path, runs);
   ASSERT_TRUE(source.ok()) << source.error();
-  DecodedPacket pkt;
-  while (source.value().next(pkt)) {
+  std::vector<StreamRecord> records(16);
+  while (source.value().next_raw_records(records) > 0) {
   }
   EXPECT_TRUE(source.value().failed());
   EXPECT_NE(source.value().error().find("outside the capture"),

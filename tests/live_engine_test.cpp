@@ -98,7 +98,7 @@ RenderedRun batch_run(const std::vector<std::uint8_t>& image,
                       const AnalyzerOptions& opts) {
   auto stream = PcapStream::from_memory(image, opts.ingest);
   EXPECT_TRUE(stream.ok()) << stream.error();
-  PcapStreamSource source(std::move(stream).value(), opts.verify_checksums);
+  PcapStreamSource source(std::move(stream).value());
   return render_batch(run_pipeline(source, opts));
 }
 
@@ -212,7 +212,7 @@ TEST(FollowSourceLive, GrowingFileMatchesBatch) {
   std::remove(path.c_str());
 
   const AnalyzerOptions opts;
-  FollowSource source(path, opts.verify_checksums, opts.ingest);
+  FollowSource source(path, opts.ingest);
   LiveOptions lopts;
   lopts.analyzer = opts;
   LiveEngine engine(source, lopts);
@@ -265,7 +265,7 @@ TEST(FollowSourceLive, RotationMatchesMultiFileBatch) {
   std::remove(rotated.c_str());
 
   const AnalyzerOptions opts;
-  FollowSource source(path, opts.verify_checksums, opts.ingest);
+  FollowSource source(path, opts.ingest);
   LiveOptions lopts;
   lopts.analyzer = opts;
   LiveEngine engine(source, lopts);
@@ -395,6 +395,45 @@ TEST(LiveBoundedMemory, WindowEvictionAndIdleGcBoundRetainedState) {
   if (alloc_hook_active()) {
     EXPECT_LT(bounded_bytes, unbounded_bytes);
   }
+}
+
+// An open feed must size each refill's arena to the bytes it holds: retained
+// records pin their arena, so a whole-chunk arena per small append would
+// cost hundreds of times the capture's own size.
+TEST(LiveBoundedMemory, SmallAppendsAllocateInProportionToBytesFed) {
+  if (!alloc_hook_active()) {
+    GTEST_SKIP() << "allocation hooks are compiled out in this build";
+  }
+  const std::vector<std::uint8_t>& image = clean_image();
+  auto parsed = parse_pcap(image);
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  std::vector<StreamRecord> kept;
+  kept.reserve(parsed.value().records.size());
+  std::vector<StreamRecord> batch(256);
+  auto feed = std::make_shared<RingBufferFeed>();
+  RingBufferSource source(feed, false);
+  const auto keep_available = [&] {
+    for (std::size_t n; (n = source.next_raw_records(batch)) > 0;) {
+      kept.insert(kept.end(), batch.begin(),
+                  batch.begin() + static_cast<std::ptrdiff_t>(n));
+    }
+  };
+
+  const std::uint64_t before = thread_alloc_bytes();
+  constexpr std::size_t kAppend = 4096;
+  for (std::size_t off = 0; off < image.size(); off += kAppend) {
+    feed->append(std::span(image).subspan(
+        off, std::min(kAppend, image.size() - off)));
+    keep_available();
+  }
+  feed->close();
+  source.begin_drain();
+  keep_available();
+  const std::uint64_t allocated = thread_alloc_bytes() - before;
+
+  EXPECT_FALSE(source.failed()) << source.error();
+  EXPECT_EQ(kept.size(), parsed.value().records.size());
+  EXPECT_LT(allocated, 3 * image.size());
 }
 
 TEST(LiveDemux, ForgetFreesTheKeyAndIgnoresStaleIndices) {

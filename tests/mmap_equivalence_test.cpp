@@ -1,11 +1,11 @@
-// Ingest-path equivalence matrix (DESIGN.md §11): the mmap zero-copy reader
+// Ingest-path equivalence matrix (DESIGN.md §12): the mmap zero-copy reader
 // and the chunked streaming reader must produce bit-identical analyses on
 // every input — clean captures, the full FaultInjector corruption matrix,
-// strict mode, and an exhausted resync budget — at --jobs 1 (serial batched
-// ingest) and --jobs 8 (parallel sharded ingest). This is the contract that
-// lets open_auto pick the fast path silently: there is no observable
-// difference except speed. Lives in the parallel test binary so the TSan CI
-// leg races the sharded ingest pipeline over both readers.
+// strict mode, and an exhausted resync budget — at --jobs 1 and --jobs 8
+// (analysis workers). This is the contract that lets open_auto pick the fast
+// path silently: there is no observable difference except speed. Lives in
+// the parallel test binary so the TSan CI leg races the analysis pool over
+// packets from both readers.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -24,8 +24,7 @@ namespace tdat {
 namespace {
 
 // Three staggered BGP sessions, small enough that the 9-mode × 4-config
-// matrix stays fast but with enough records that parallel ingest spans many
-// batches.
+// matrix stays fast but with enough records that ingest spans many batches.
 const std::vector<std::uint8_t>& clean_image() {
   static const std::vector<std::uint8_t> image = [] {
     SimWorld world(1312);
@@ -111,8 +110,8 @@ TEST(MmapEquivalence, CleanCaptureIdenticalAcrossReadersAndJobs) {
   const std::string path = write_temp(clean_image(), "mmap_eq_clean.pcap");
   const TraceAnalysis ta = analyze_path(path, AnalyzerOptions{}, true, 1);
   ASSERT_EQ(ta.results.size(), 3u);
-  // Multi-batch guarantee: parallel ingest reads 256-record batches, so the
-  // jobs=8 configs only exercise resequencing if the trace spans several.
+  // Multi-batch guarantee: ingest reads 256-record batches, so batch
+  // boundaries are only exercised if the trace spans several.
   EXPECT_GT(ta.stats.records, 512u);
   EXPECT_FALSE(ta.stats.ingest.has_errors());
   expect_all_configs_identical(path, AnalyzerOptions{});

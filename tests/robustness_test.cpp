@@ -7,6 +7,7 @@
 
 #include "core/analyzer.hpp"
 #include "core/detectors.hpp"
+#include "core/export.hpp"
 #include "helpers.hpp"
 #include "sim_scenarios.hpp"
 
@@ -161,6 +162,40 @@ TEST(Robustness, SerializeParseAnalyzeRoundTrip) {
     EXPECT_EQ(direct.results[i].mct.prefix_count,
               via_disk.results[i].mct.prefix_count);
   }
+}
+
+// analyze_packets demuxes pre-decoded packets straight into the analysis
+// stage: it must report exactly what the capture path reports, and account
+// ingest from the frames it was handed (no capture headers, so no records).
+TEST(Robustness, PreDecodedPacketsAnalyzeLikeTheCapture) {
+  SimWorld world(95);
+  for (int i = 0; i < 3; ++i) {
+    const auto s =
+        world.add_session(SessionSpec{}, test::table_messages(400, 60 + i));
+    world.start_session(s, static_cast<Micros>(i) * 20 * kMicrosPerSec);
+  }
+  world.run_until(900 * kMicrosPerSec);
+  const PcapFile trace = world.take_trace();
+
+  const TraceAnalysis want = analyze_trace(trace, AnalyzerOptions{});
+  std::vector<DecodedPacket> packets = decode_pcap(trace);
+  const std::size_t packet_count = packets.size();
+  std::uint64_t frame_bytes = 0;
+  for (const DecodedPacket& pkt : packets) frame_bytes += pkt.frame.size();
+  const TraceAnalysis got =
+      analyze_packets(std::move(packets), AnalyzerOptions{});
+
+  ASSERT_EQ(got.results.size(), 3u);
+  ASSERT_EQ(got.results.size(), want.results.size());
+  for (std::size_t i = 0; i < got.results.size(); ++i) {
+    EXPECT_EQ(analysis_to_json(got.results[i]),
+              analysis_to_json(want.results[i]))
+        << "connection " << i;
+  }
+  EXPECT_EQ(got.stats.records, 0u);
+  EXPECT_EQ(got.stats.packets, packet_count);
+  EXPECT_EQ(got.stats.bytes_ingested, frame_bytes);
+  EXPECT_EQ(got.stats.connections, 3u);
 }
 
 }  // namespace

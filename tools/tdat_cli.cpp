@@ -552,7 +552,7 @@ int cmd_analyze(int argc, char** argv) {
                  "[tdat] %llu records (%.2f MB) -> %llu packets -> %llu"
                  " connections in %.3fs (ingest %.3fs + analyze %.3fs,"
                  " jobs=%zu): %.1f MB/s, %.0f pkt/s, %.2f conn/s\n"
-                 "[tdat] stage rates: ingest %.1f MB/s (%zu threads),"
+                 "[tdat] stage rates: ingest %.1f MB/s,"
                  " decode %.1f MB/s, analysis %.1f MB/s\n",
                  static_cast<unsigned long long>(st.records),
                  static_cast<double>(st.bytes_ingested) / 1e6,
@@ -562,7 +562,7 @@ int cmd_analyze(int argc, char** argv) {
                  to_seconds(st.analyze_wall), st.jobs,
                  st.bytes_per_sec() / 1e6, st.packets_per_sec(),
                  st.connections_per_sec(), st.ingest_bytes_per_sec() / 1e6,
-                 st.ingest_jobs, st.decode_bytes_per_sec() / 1e6,
+                 st.decode_bytes_per_sec() / 1e6,
                  st.analysis_bytes_per_sec() / 1e6);
   }
   return rc;
@@ -1455,8 +1455,7 @@ int cmd_watch(int argc, char** argv) {
   std::optional<LiveEngine> engine_store;
   LiveCheckpoint ckpt;
   if (auto resume = try_restore(cmd, lopts, ckpt)) {
-    source_store.emplace(cmd.input, cmd.opts.verify_checksums,
-                         cmd.opts.ingest, *resume);
+    source_store.emplace(cmd.input, cmd.opts.ingest, *resume);
     engine_store.emplace(*source_store, lopts);
     if (auto restored = engine_store->restore_state(ckpt, cmd.input);
         !restored.ok()) {
@@ -1476,8 +1475,7 @@ int cmd_watch(int argc, char** argv) {
     }
   }
   if (!engine_store.has_value()) {
-    source_store.emplace(cmd.input, cmd.opts.verify_checksums,
-                         cmd.opts.ingest);
+    source_store.emplace(cmd.input, cmd.opts.ingest);
     engine_store.emplace(*source_store, lopts);
   }
   FollowSource& source = *source_store;
