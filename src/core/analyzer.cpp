@@ -258,8 +258,8 @@ std::size_t analyze_connections(const std::vector<Connection>& conns,
     // range-set algebra, reassembly, MCT prefix table) is recycled, so the
     // stage's steady state performs no cross-core allocator traffic.
     thread_local AnalysisScratch scratch;
-    // A pathological connection must not take the run down (an uncaught
-    // exception on a pool thread would terminate the process): it is
+    // A pathological connection must not take the run down (parallel_for
+    // would rethrow it and end the run): it is
     // quarantined in place and the stage moves on. Deep allocation failures
     // (bad_alloc / length_error from absurd reconstructed streams) are the
     // realistic throwers; contract violations still abort via TDAT_EXPECTS.

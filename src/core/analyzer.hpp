@@ -10,7 +10,7 @@
 // (analyze_files) are thin wrappers around the same ingest loop and analysis
 // stage; analyze_packets demuxes already-decoded packets straight into that
 // stage. The stage runs analyze_connection per connection — serially for
-// opts.jobs == 1, on a thread pool otherwise — with results written into
+// opts.jobs == 1, through parallel_for otherwise — with results written into
 // pre-sized slots by connection index, so the output is bit-identical at any
 // job count and across every ingest path.
 #pragma once
@@ -72,8 +72,9 @@ struct PipelineStats {
   Micros total_wall = 0;
 
   // Per-stage observability, scoped to this run (snapshot deltas of the
-  // process-wide registry): time tasks sat in the pool queue and the
-  // distribution of per-connection analysis cost, both in microseconds.
+  // process-wide registry): how long parallel_for helpers took to start
+  // after a dispatch and the distribution of per-connection analysis cost,
+  // both in microseconds.
   HistogramSnapshot queue_wait_us;
   HistogramSnapshot connection_us;
   // Full metrics-registry snapshot taken when the run finished ("" when not

@@ -99,7 +99,7 @@ struct AnalyzerOptions {
   bool verify_checksums = false;
 
   // Worker threads for the per-connection analysis stage. 1 = fully serial
-  // (no pool, no atomics); 0 = default_jobs() (TDAT_JOBS env override, else
+  // (no threads, no atomics); 0 = default_jobs() (TDAT_JOBS env override, else
   // hardware concurrency). Any value produces bit-identical results: work is
   // handed out by connection index into pre-sized slots, and nothing in the
   // per-connection analysis shares mutable state.

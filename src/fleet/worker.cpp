@@ -23,6 +23,7 @@
 #include "core/report.hpp"
 #include "core/trace_source.hpp"
 #include "fleet/wire.hpp"
+#include "util/parse.hpp"
 
 namespace tdat::fleet {
 
@@ -94,7 +95,7 @@ class Heartbeater {
 // the named assignment lands, before any work or reply.
 void maybe_kill_self(std::uint32_t worker_id) {
   const char* kill = std::getenv("TDAT_FLEET_KILL_WORKER");
-  if (kill != nullptr && std::strtoul(kill, nullptr, 10) == worker_id) {
+  if (kill != nullptr && parse_uint(kill) == worker_id) {
     _exit(43);
   }
 }
@@ -214,10 +215,7 @@ int dial_coordinator(const std::string& host, const std::string& port) {
 
 unsigned long env_ms(const char* name, unsigned long def) {
   const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return def;
-  char* end = nullptr;
-  const unsigned long n = std::strtoul(v, &end, 10);
-  return end == v || *end != '\0' ? def : n;
+  return v == nullptr ? def : parse_uint(v).value_or(def);
 }
 
 }  // namespace

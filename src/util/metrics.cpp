@@ -194,9 +194,8 @@ void LatencyHistogram::Shard::reset() noexcept {
 }
 
 void LatencyHistogram::merge_from(const LatencyHistogram& other) noexcept {
-  // Fold into one shard: merge_from is a per-run bulk operation (e.g. the
-  // thread pool folding a worker's queue-wait histogram into the registry),
-  // never an inner-loop write, so contention padding doesn't matter here.
+  // Fold into one shard: merge_from is a per-run bulk operation, never an
+  // inner-loop write, so contention padding doesn't matter here.
   shards_[0].add(other.snapshot());
 }
 

@@ -1,85 +1,109 @@
 #include "util/thread_pool.hpp"
 
+#include <pthread.h>
+#include <signal.h>
+
 #include <atomic>
+#include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "util/metrics.hpp"
+#include "util/parse.hpp"
 #include "util/trace.hpp"
 
 namespace tdat {
 
 std::size_t default_jobs() {
   if (const char* env = std::getenv("TDAT_JOBS")) {
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::size_t>(v);
-    return 1;  // set but unparsable/zero: stay serial rather than guess
+    return parse_uint(env, 1).value_or(1);  // unparsable or 0: stay serial
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) threads = 1;
-  tasks_total_ = &metrics().counter("pool.tasks");
-  workers_gauge_ = &metrics().gauge("pool.workers");
-  queue_wait_us_ = &metrics().histogram("pool.queue_wait_us");
-  workers_gauge_->add(static_cast<std::int64_t>(threads));
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
+namespace {
+
+// parallel_for holds `turn` for its whole run: it posts `drain` with jobs-1
+// `seats`, drains on its own thread too, then withdraws the seats no helper
+// took (nothing is left to hand out by then) and waits until none is seated.
+struct WorkerSet {
+  std::mutex turn;
+  std::mutex mu;                     // guards the rest
+  std::condition_variable wake;      // helpers: a dispatch was posted
+  std::condition_variable idle;      // caller: the last seated helper left
+  std::vector<std::thread> helpers;  // never shrinks, never joined
+  std::uint64_t dispatch = 0;        // bumped by every post
+  std::size_t seats = 0;
+  std::size_t seated = 0;
+  const std::function<void()>* drain = nullptr;
+  std::int64_t posted_us = 0;
+};
+
+// Leaked like the trace Session: helpers wait on it until the process ends.
+// A forked child inherits it without its threads (perhaps with a lock held
+// by one of them), so the child handler swaps in a fresh set and leaves the
+// inherited one alone.
+WorkerSet* g_set = nullptr;
+
+WorkerSet& worker_set() {
+  static const bool ready = [] {
+    g_set = new WorkerSet;
+    pthread_atfork(nullptr, nullptr, [] { g_set = new WorkerSet; });
+    return true;
+  }();
+  (void)ready;
+  return *g_set;
 }
 
-ThreadPool::~ThreadPool() {
+thread_local bool t_in_drain = false;
+
+void run_drain(const std::function<void()>& drain) {
+  static Counter& tasks = metrics().counter("pool.tasks");
+  tasks.inc();
+  t_in_drain = true;
   {
-    std::lock_guard lock(mu_);
-    stop_ = true;
+    TDAT_TRACE_SPAN("pool.task", "pool");
+    drain();
   }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-  workers_gauge_->add(-static_cast<std::int64_t>(workers_.size()));
+  t_in_drain = false;
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard lock(mu_);
-    queue_.push_back(Task{monotonic_micros(), std::move(task)});
-  }
-  work_cv_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && busy_ == 0; });
-}
-
-void ThreadPool::worker_loop() {
-  std::unique_lock lock(mu_);
+void helper_loop(WorkerSet& s, std::uint64_t seen) {
+  // Signals (tdat watch's SIGTERM/SIGHUP) go to the program's own threads,
+  // so a sleeping main loop is woken rather than an idle helper.
+  sigset_t all;
+  sigfillset(&all);
+  pthread_sigmask(SIG_BLOCK, &all, nullptr);
+  LatencyHistogram& wait_us = metrics().histogram("pool.queue_wait_us");
+  std::unique_lock lock(s.mu);
   for (;;) {
-    work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-    if (queue_.empty()) return;  // stop_ and nothing left to run
-    Task task = std::move(queue_.front());
-    queue_.pop_front();
-    ++busy_;
+    s.wake.wait(lock, [&] { return s.dispatch != seen; });
+    seen = s.dispatch;
+    if (s.seats == 0) continue;
+    --s.seats;
+    ++s.seated;
+    const std::function<void()>& drain = *s.drain;
+    const std::int64_t posted_us = s.posted_us;
     lock.unlock();
-    queue_wait_us_->observe(monotonic_micros() - task.enqueued_us);
-    tasks_total_->inc();
-    {
-      TDAT_TRACE_SPAN("pool.task", "pool");
-      task.fn();
-    }
+    wait_us.observe(monotonic_micros() - posted_us);
+    run_drain(drain);
+    trace_flush_thread();  // before the caller may return and stop the trace
     lock.lock();
-    --busy_;
-    if (queue_.empty() && busy_ == 0) idle_cv_.notify_all();
+    if (--s.seated == 0) s.idle.notify_one();
   }
 }
+
+}  // namespace
 
 void parallel_for(std::size_t n, std::size_t jobs,
                   const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (jobs <= 1 || n == 1) {
+  if (jobs <= 1 || n == 1 || t_in_drain) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -88,7 +112,7 @@ void parallel_for(std::size_t n, std::size_t jobs,
   std::atomic<std::size_t> next{0};
   std::mutex err_mu;
   std::exception_ptr first_error;
-  const auto drain = [&] {
+  const std::function<void()> drain = [&] {
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
@@ -101,10 +125,26 @@ void parallel_for(std::size_t n, std::size_t jobs,
     }
   };
 
+  WorkerSet& s = worker_set();
+  std::lock_guard turn(s.turn);
   {
-    ThreadPool pool(jobs);
-    for (std::size_t w = 0; w < jobs; ++w) pool.submit(drain);
-    pool.wait_idle();
+    std::lock_guard lock(s.mu);
+    while (s.helpers.size() < jobs - 1) {
+      s.helpers.emplace_back(helper_loop, std::ref(s), s.dispatch);
+    }
+    static Gauge& workers = metrics().gauge("pool.workers");
+    workers.set(static_cast<std::int64_t>(s.helpers.size()));
+    s.drain = &drain;
+    s.seats = jobs - 1;
+    s.posted_us = monotonic_micros();
+    ++s.dispatch;
+  }
+  s.wake.notify_all();
+  run_drain(drain);
+  {
+    std::unique_lock lock(s.mu);
+    s.seats = 0;
+    s.idle.wait(lock, [&] { return s.seated == 0; });
   }
   if (first_error) std::rethrow_exception(first_error);
 }

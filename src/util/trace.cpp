@@ -26,7 +26,7 @@ struct Event {
 
 struct Session {
   std::mutex mu;
-  std::vector<Event> retired;       // buffers flushed by exited threads
+  std::vector<Event> retired;       // buffers flushed by their threads
   std::atomic<bool> enabled{false};
   std::atomic<std::uint64_t> gen{0};  // bumped by trace_start
   std::int64_t t0 = 0;                // session epoch (under mu)
@@ -175,6 +175,8 @@ bool trace_stop(const std::string& path) {
   const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
   return std::fclose(f) == 0 && ok;
 }
+
+void trace_flush_thread() { local_buffer().retire(); }
 
 void TraceSpan::start() noexcept { start_ts_ = monotonic_micros(); }
 

@@ -5,11 +5,10 @@
 //  - trace_start() arms a process-wide session; spans record into plain
 //    thread_local buffers — no lock, no atomic RMW on the hot path, just one
 //    relaxed load of the enabled flag plus two steady_clock reads per span.
-//  - A thread's buffer is flushed into the session exactly once, lockless
-//    until that moment: when the thread exits (thread_local destructor) or
-//    when the collecting thread calls trace_stop*(). Threads still running
-//    concurrently with trace_stop keep their events to themselves — in tdat
-//    all pool workers are joined before the session ends.
+//  - A thread's buffer is flushed into the session, lockless until then,
+//    at thread exit, at trace_stop*() on the collecting thread, or at
+//    trace_flush_thread(); the never-exiting parallel_for helpers call it
+//    at the end of every dispatch, before the call returns.
 //  - With tracing disarmed (the default) a TraceSpan costs one relaxed
 //    atomic load; compiling with -DTDAT_TRACE_DISABLED removes the macros
 //    entirely.
@@ -38,6 +37,9 @@ void trace_start();
 // trace_stop_json written to `path`; false if the file cannot be written
 // (the session is disarmed and drained either way).
 [[nodiscard]] bool trace_stop(const std::string& path);
+
+// Flushes the calling thread's events into the session now, not at exit.
+void trace_flush_thread();
 
 class TraceSpan {
  public:

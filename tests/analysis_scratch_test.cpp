@@ -186,5 +186,30 @@ TEST(AnalysisScratch, AllocHistogramObservesWarmRuns) {
   EXPECT_EQ(delta.sum, 0);
 }
 
+// The same zero-allocation steady state at jobs=2: parallel_for's helper
+// threads outlive each call, so their thread-local scratch stays warm from
+// one analyze_connections run (a batch run, a live epoch) to the next.
+TEST(AnalysisScratch, ParallelRunsStayAllocationFreeAcrossCalls) {
+  if (!alloc_hook_active()) {
+    GTEST_SKIP() << "allocation counting hook compiled out (sanitizer build)";
+  }
+  const std::vector<Connection> conns(64, keepalive_session());
+  std::vector<std::uint32_t> which(conns.size());
+  for (std::uint32_t i = 0; i < which.size(); ++i) which[i] = i;
+  AnalyzerOptions opts;
+  opts.jobs = 2;
+  std::vector<ConnectionAnalysis> results(conns.size());
+  ASSERT_EQ(analyze_connections(conns, which, opts, results), 2u);
+  analyze_connections(conns, which, opts, results);
+
+  const HistogramSnapshot before =
+      metrics().histogram("analyze.allocs_per_conn").snapshot();
+  analyze_connections(conns, which, opts, results);
+  const HistogramSnapshot delta =
+      metrics().histogram("analyze.allocs_per_conn").snapshot().since(before);
+  ASSERT_EQ(delta.count, conns.size());
+  EXPECT_EQ(delta.sum, 0) << "third jobs=2 run allocated";
+}
+
 }  // namespace
 }  // namespace tdat

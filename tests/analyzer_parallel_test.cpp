@@ -5,12 +5,18 @@
 //    µs/ns fixtures of both endiannesses, at any chunk size,
 //  - analyze_file (streaming ingest) equals analyze_trace (in-memory),
 //  - ConnectionDemux fed incrementally equals batch split_connections,
-//  - the thread-pool primitives behave (coverage, exceptions, TDAT_JOBS).
+//  - parallel_for behaves (coverage, exceptions, helper reuse across calls,
+//    a working set after fork, TDAT_JOBS).
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <thread>
 
 #include "core/export.hpp"
 #include "helpers.hpp"
@@ -19,6 +25,7 @@
 #include "sim_scenarios.hpp"
 #include "tcp/connection.hpp"
 #include "util/bytes.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tdat {
@@ -357,11 +364,82 @@ TEST(ParallelFor, PropagatesFirstException) {
       std::runtime_error);
 }
 
+// Helpers persist across calls: fifty jobs=4 calls run on the same threads
+// (the helpers plus the caller) instead of starting new ones every time.
+std::atomic<int> g_threads_seen{0};
+struct CountThread {
+  CountThread() { g_threads_seen.fetch_add(1); }
+};
+
+TEST(ParallelFor, ReusesWorkersAcrossCalls) {
+  const auto body = [](std::size_t) {
+    thread_local CountThread counted;
+    (void)counted;
+  };
+  parallel_for(64, 4, body);
+  // An earlier wider call in the same process may have grown the set past
+  // three helpers; any of them may take a seat.
+  const std::int64_t helpers = metrics().gauge("pool.workers").value();
+  EXPECT_GE(helpers, 3);
+  for (int call = 1; call < 50; ++call) parallel_for(64, 4, body);
+  EXPECT_LE(g_threads_seen.load(), helpers + 1);
+}
+
+// Index 0 and 1 wait for each other, so the call finishes promptly only if a
+// helper thread really runs alongside the caller.
+bool ran_on_two_threads() {
+  std::atomic<int> arrived{0};
+  std::atomic<bool> met{true};
+  parallel_for(2, 2, [&](std::size_t) {
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < 2) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        met = false;
+        return;
+      }
+      std::this_thread::yield();
+    }
+  });
+  return met;
+}
+
+// A forked child inherits the parent's worker set but none of its threads;
+// it must get a working set of its own.
+TEST(ParallelFor, ForkedChildGetsWorkingHelpers) {
+  std::vector<std::atomic<int>> hits(256);
+  parallel_for(hits.size(), 4, [&](std::size_t i) { hits[i].fetch_add(1); });
+  const pid_t pid = fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    alarm(30);  // never outlive the parent's bound below
+    std::vector<std::atomic<int>> child_hits(256);
+    parallel_for(child_hits.size(), 4,
+                 [&](std::size_t i) { child_hits[i].fetch_add(1); });
+    bool ok = ran_on_two_threads();
+    for (const auto& h : child_hits) ok = ok && h.load() == 1;
+    _exit(ok ? 0 : 1);
+  }
+  alarm(60);
+  int status = 0;
+  const pid_t waited = waitpid(pid, &status, 0);
+  alarm(0);
+  ASSERT_EQ(waited, pid);
+  ASSERT_TRUE(WIFEXITED(status))
+      << "child killed by signal "
+      << (WIFSIGNALED(status) ? WTERMSIG(status) : 0);
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 TEST(DefaultJobs, RespectsEnvironment) {
   ASSERT_EQ(setenv("TDAT_JOBS", "3", 1), 0);
   EXPECT_EQ(default_jobs(), 3u);
   ASSERT_EQ(setenv("TDAT_JOBS", "junk", 1), 0);
   EXPECT_EQ(default_jobs(), 1u);  // set but unparsable: stay serial
+  ASSERT_EQ(setenv("TDAT_JOBS", "-1", 1), 0);
+  EXPECT_EQ(default_jobs(), 1u);  // not a huge count
   ASSERT_EQ(unsetenv("TDAT_JOBS"), 0);
   EXPECT_GE(default_jobs(), 1u);
 }

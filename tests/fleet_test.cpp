@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "agg/sink.hpp"
@@ -210,7 +211,10 @@ std::string write_trace(const char* name, const PcapFile& trace) {
 std::string whole_archive(const std::string& path, const std::string& run_id) {
   auto source = PcapStreamSource::open(path, false);
   EXPECT_TRUE(source.ok()) << source.error();
+  // jobs=2 starts parallel_for helper threads in this process before any
+  // run_fleet below forks its workers.
   AnalyzerOptions opts;
+  opts.jobs = 2;
   const TraceAnalysis analysis = run_pipeline(source.value(), opts);
   return agg::build_archive(build_report_model(analysis), run_id).serialize();
 }
@@ -338,15 +342,19 @@ TEST(Fleet, MergedArchiveIsByteIdenticalAcrossWorkerCounts) {
   const std::string path = write_trace("fleet_equiv.pcap", make_trace(4));
   const std::string whole = whole_archive(path, "t");
 
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{3}}) {
+  // {workers, per-worker analysis jobs}: the last runs parallel_for inside
+  // the forked workers.
+  const std::pair<std::size_t, std::size_t> runs[] = {{1, 1}, {2, 1}, {3, 1},
+                                                      {2, 2}};
+  for (const auto& [workers, jobs] : runs) {
     FleetOptions opts;
     opts.workers = workers;
+    opts.analyzer.jobs = jobs;
     opts.run_id = "t";
     auto outcome = run_fleet(path, opts);
     ASSERT_TRUE(outcome.ok()) << outcome.error();
     EXPECT_EQ(outcome.value().archive.serialize(), whole)
-        << "workers=" << workers;
+        << "workers=" << workers << " jobs=" << jobs;
     EXPECT_EQ(outcome.value().stats.shards, workers);
     EXPECT_EQ(outcome.value().stats.reassignments, 0u);
   }
@@ -354,7 +362,6 @@ TEST(Fleet, MergedArchiveIsByteIdenticalAcrossWorkerCounts) {
 
 TEST(Fleet, KilledWorkerShardIsReassignedAndOutputUnchanged) {
   const std::string path = write_trace("fleet_kill.pcap", make_trace(4));
-  const std::string whole = whole_archive(path, "t");
 
   // Worker ids are handed out from 0; killing id 0 the moment its first
   // assignment lands forces a timeout, a reassignment, and (budget
@@ -368,6 +375,9 @@ TEST(Fleet, KilledWorkerShardIsReassignedAndOutputUnchanged) {
   auto outcome = run_fleet(path, opts);
   ::unsetenv("TDAT_FLEET_KILL_WORKER");
   ASSERT_TRUE(outcome.ok()) << outcome.error();
+  // Built after the fleet ran, so its workers fork from a process with no
+  // helper threads and stay visible to ThreadSanitizer (heartbeat thread).
+  const std::string whole = whole_archive(path, "t");
   EXPECT_EQ(outcome.value().archive.serialize(), whole);
   EXPECT_GE(outcome.value().stats.reassignments, 1u);
   EXPECT_GE(outcome.value().stats.respawns, 1u);

@@ -76,6 +76,20 @@ grep -q "no input capture" "$TMP/err.txt" \
 "$TDAT" analyze "$TMP/base.pcap" --jobs banana 2>"$TMP/err.txt"
 [ $? -eq 2 ] || fail "--jobs banana should exit 2"
 
+# A negative count is not a number: it must not wrap to the largest value
+# (one worker thread per connection).
+for cmd in analyze watch; do
+  "$TDAT" "$cmd" "$TMP/base.pcap" --jobs -1 >/dev/null 2>"$TMP/err.txt"
+  [ $? -eq 2 ] || fail "$cmd --jobs -1 should exit 2"
+  [ "$(wc -l <"$TMP/err.txt")" -eq 1 ] \
+    || fail "$cmd --jobs -1 error should be one line: $(cat "$TMP/err.txt")"
+done
+
+"$TDAT" metrics --jobs banana "$TMP/base.pcap" >/dev/null 2>"$TMP/err.txt"
+[ $? -eq 2 ] || fail "metrics --jobs banana should exit 2"
+[ "$(wc -l <"$TMP/err.txt")" -eq 1 ] \
+  || fail "metrics --jobs error should be one line: $(cat "$TMP/err.txt")"
+
 "$TDAT" analyze "$TMP/base.pcap" --detectors frobnicate 2>"$TMP/err.txt"
 [ $? -eq 2 ] || fail "unknown detector should exit 2"
 grep -q "timer-gaps" "$TMP/err.txt" \

@@ -38,10 +38,12 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -74,6 +76,7 @@
 #include "util/crash_point.hpp"
 #include "util/log.hpp"
 #include "util/metrics.hpp"
+#include "util/parse.hpp"
 #include "util/trace.hpp"
 #include "util/version.hpp"
 
@@ -292,18 +295,76 @@ struct AnalyzeCommand {
   ReportRenderOptions render;
 };
 
+// The one-line usage error (exit 2) for an integer flag value that
+// parse_uint rejects, in the subcommands without a Result-based parser.
+int bad_number(const char* cmd, const char* flag, const char* value) {
+  std::fprintf(stderr, "tdat %s: %s: not a number: '%s'\n", cmd, flag, value);
+  return 2;
+}
+
+// The one --location parser (analyze, watch, fleet).
+Result<SnifferLocation> parse_location(std::string_view where) {
+  if (where == "receiver") return SnifferLocation::kNearReceiver;
+  if (where == "sender") return SnifferLocation::kNearSender;
+  if (where == "middle") return SnifferLocation::kMiddle;
+  return Err<SnifferLocation>("--location: unknown location '" +
+                              std::string(where) +
+                              "' (valid: receiver, sender, middle)");
+}
+
+// The value of flag argv[i]; `i` advances past it on success.
+Result<std::string> flag_value(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) {
+    return Err<std::string>(std::string("flag '") + argv[i] +
+                            "' needs a value");
+  }
+  return std::string(argv[++i]);
+}
+
+// The value of flag argv[i] as a count. Every integer flag goes through
+// parse_uint: digits only, so "-1" is an error rather than a huge count.
+Result<std::uint64_t> flag_count(int argc, char** argv, int& i) {
+  const std::string flag = argv[i];
+  TDAT_TRY(v, flag_value(argc, argv, i));
+  if (const auto n = parse_uint(v)) return *n;
+  return Err<std::uint64_t>(flag + ": not a number: '" + v + "'");
+}
+
+// The analysis flags `analyze` and `watch` share; false if argv[i] is not
+// one of them.
+Result<bool> parse_analysis_flag(int argc, char** argv, int& i,
+                                 AnalyzerOptions& opts) {
+  const std::string_view arg = argv[i];
+  if (arg == "--jobs") {
+    TDAT_TRY(jobs, flag_count(argc, argv, i));
+    opts.jobs = jobs;  // 0 = hardware default
+  } else if (arg == "--max-errors") {
+    TDAT_TRY(budget, flag_count(argc, argv, i));
+    opts.ingest.max_errors = budget;
+  } else if (arg == "--strict") {
+    opts.ingest.strict = true;
+  } else if (arg == "--location") {
+    TDAT_TRY(where, flag_value(argc, argv, i));
+    TDAT_TRY(location, parse_location(where));
+    opts.location = location;
+  } else if (arg == "--detectors") {
+    TDAT_TRY(list, flag_value(argc, argv, i));
+    auto selection = parse_detector_selection(list);
+    if (!selection.ok()) return Err<bool>("--detectors: " + selection.error());
+    opts.passes = selection.value();
+  } else {
+    return false;
+  }
+  return true;
+}
+
 Result<AnalyzeCommand> parse_analyze_args(int argc, char** argv) {
   AnalyzeCommand cmd;
   cmd.opts.jobs = 0;  // default: hardware concurrency (or $TDAT_JOBS)
-  // Flags taking a value; `i` advances past it on success.
-  const auto value_of = [&](int& i) -> Result<std::string> {
-    if (i + 1 >= argc) {
-      return Err<std::string>(std::string("flag '") + argv[i] +
-                              "' needs a value");
-    }
-    return std::string(argv[++i]);
-  };
+  const auto value_of = [&](int& i) { return flag_value(argc, argv, i); };
   for (int i = 0; i < argc; ++i) {
+    TDAT_TRY(shared, parse_analysis_flag(argc, argv, i, cmd.opts));
+    if (shared) continue;
     const std::string_view arg = argv[i];
     if (arg == "--json") {
       cmd.format = ReportFormat::kJson;
@@ -312,36 +373,9 @@ Result<AnalyzeCommand> parse_analyze_args(int argc, char** argv) {
       auto format = parse_report_format(value);
       if (!format.ok()) return Err<AnalyzeCommand>("--format: " + format.error());
       cmd.format = format.value();
-    } else if (arg == "--location") {
-      TDAT_TRY(where, value_of(i));
-      if (where == "receiver") {
-        cmd.opts.location = SnifferLocation::kNearReceiver;
-      } else if (where == "sender") {
-        cmd.opts.location = SnifferLocation::kNearSender;
-      } else if (where == "middle") {
-        cmd.opts.location = SnifferLocation::kMiddle;
-      } else {
-        return Err<AnalyzeCommand>("--location: unknown location '" + where +
-                                   "' (valid: receiver, sender, middle)");
-      }
-    } else if (arg == "--detectors") {
-      TDAT_TRY(list, value_of(i));
-      auto selection = parse_detector_selection(list);
-      if (!selection.ok()) {
-        return Err<AnalyzeCommand>("--detectors: " + selection.error());
-      }
-      cmd.opts.passes = selection.value();
     } else if (arg == "--series") {
       TDAT_TRY(name, value_of(i));
       cmd.render.series.push_back(std::move(name));
-    } else if (arg == "--jobs") {
-      TDAT_TRY(jobs, value_of(i));
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(jobs.c_str(), &end, 10);
-      if (end == jobs.c_str() || *end != '\0') {
-        return Err<AnalyzeCommand>("--jobs: not a number: '" + jobs + "'");
-      }
-      cmd.opts.jobs = static_cast<std::size_t>(v);  // 0 = hardware default
     } else if (arg == "--stats") {
       cmd.show_stats = true;
     } else if (arg == "--quiet-stats") {
@@ -370,27 +404,15 @@ Result<AnalyzeCommand> parse_analyze_args(int argc, char** argv) {
       cmd.log_level = std::move(level);
     } else if (arg == "--progress") {
       cmd.progress = true;
-    } else if (arg == "--strict") {
-      cmd.opts.ingest.strict = true;
     } else if (arg == "--no-mmap") {
       cmd.opts.ingest.use_mmap = false;
     } else if (arg == "--fleet") {
       TDAT_TRY(workers, value_of(i));
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(workers.c_str(), &end, 10);
-      if (end == workers.c_str() || *end != '\0' || v == 0) {
+      const auto v = parse_uint(workers, 1);
+      if (!v) {
         return Err<AnalyzeCommand>("--fleet: need a positive worker count");
       }
-      cmd.fleet_workers = static_cast<std::size_t>(v);
-    } else if (arg == "--max-errors") {
-      TDAT_TRY(budget, value_of(i));
-      char* end = nullptr;
-      const unsigned long v = std::strtoul(budget.c_str(), &end, 10);
-      if (end == budget.c_str() || *end != '\0') {
-        return Err<AnalyzeCommand>("--max-errors: not a number: '" + budget +
-                                   "'");
-      }
-      cmd.opts.ingest.max_errors = static_cast<std::size_t>(v);
+      cmd.fleet_workers = *v;
     } else if (arg.size() >= 2 && arg.substr(0, 2) == "--") {
       return Err<AnalyzeCommand>("unknown flag '" + std::string(arg) + "'");
     } else {
@@ -613,16 +635,19 @@ int cmd_pcap2mrt(int argc, char** argv) {
 
 int cmd_mrtcat(int argc, char** argv) {
   if (argc < 1) return usage();
-  long limit = -1;
-  if (argc >= 3 && std::strcmp(argv[1], "-n") == 0) limit = std::atol(argv[2]);
+  std::optional<std::uint64_t> limit;  // unset = every record
+  if (argc >= 3 && std::strcmp(argv[1], "-n") == 0) {
+    limit = parse_uint(argv[2]);
+    if (!limit) return bad_number("mrtcat", "-n", argv[2]);
+  }
   const auto records = read_mrt_file(argv[0]);
   if (!records.ok()) {
     std::fprintf(stderr, "%s\n", records.error().c_str());
     return 3;
   }
-  long shown = 0;
+  std::uint64_t shown = 0;
   for (const MrtRecord& rec : records.value()) {
-    if (limit >= 0 && shown++ >= limit) break;
+    if (limit && shown++ >= *limit) break;
     const auto msg = rec.parse();
     std::printf("%lld  AS%u -> AS%u  ", static_cast<long long>(rec.ts / kMicrosPerSec),
                 rec.peer_as, rec.local_as);
@@ -647,18 +672,20 @@ int cmd_mrtcat(int argc, char** argv) {
 
 int cmd_timeseq(int argc, char** argv) {
   if (argc < 1) return usage();
+  const auto index = argc >= 2 ? parse_uint(argv[1]) : std::uint64_t{0};
+  if (!index) return bad_number("timeseq", "connection index", argv[1]);
   const auto trace = load(argv[0]);
   if (!trace.ok()) {
     std::fprintf(stderr, "%s\n", trace.error().c_str());
     return 3;
   }
   const auto conns = split_connections(decode_pcap(trace.value()));
-  const std::size_t index = argc >= 2 ? static_cast<std::size_t>(std::atoi(argv[1])) : 0;
-  if (index >= conns.size()) {
-    std::fprintf(stderr, "connection %zu of %zu not found\n", index, conns.size());
+  if (*index >= conns.size()) {
+    std::fprintf(stderr, "connection %zu of %zu not found\n",
+                 static_cast<std::size_t>(*index), conns.size());
     return 1;
   }
-  const auto& conn = conns[index];
+  const auto& conn = conns[*index];
   const auto profile = compute_profile(conn);
   const auto flow = classify_data_packets(conn, profile.data_dir, ClassifyOptions{});
   std::printf("%s\n", conn.key.to_string().c_str());
@@ -674,12 +701,12 @@ int cmd_simulate(int argc, char** argv) {
   std::size_t sessions = 1;
   for (int i = 2; i < argc; ++i) {
     if (std::strcmp(argv[i], "--sessions") == 0 && i + 1 < argc) {
-      const long v = std::atol(argv[++i]);
-      if (v < 1) {
+      const auto v = parse_uint(argv[++i], 1);
+      if (!v) {
         std::fprintf(stderr, "--sessions: need a positive count\n");
         return 2;
       }
-      sessions = static_cast<std::size_t>(v);
+      sessions = *v;
     } else {
       return usage();
     }
@@ -757,14 +784,16 @@ int cmd_corrupt(int argc, char** argv) {
       }
       plan.mode = *mode;
       have_mode = true;
-    } else if (arg == "--seed") {
+    } else if (arg == "--seed" || arg == "--count") {
       const char* value = value_of();
       if (value == nullptr) return usage();
-      plan.seed = static_cast<std::uint64_t>(std::strtoull(value, nullptr, 10));
-    } else if (arg == "--count") {
-      const char* value = value_of();
-      if (value == nullptr) return usage();
-      plan.count = static_cast<std::size_t>(std::strtoul(value, nullptr, 10));
+      const auto v = parse_uint(value);
+      if (!v) return bad_number("corrupt", argv[i - 1], value);
+      if (arg == "--seed") {
+        plan.seed = *v;
+      } else {
+        plan.count = *v;
+      }
     } else {
       return usage();
     }
@@ -814,7 +843,9 @@ int cmd_metrics(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--jobs" && i + 1 < argc) {
-      opts.jobs = static_cast<std::size_t>(std::atol(argv[++i]));
+      const auto v = parse_uint(argv[++i]);
+      if (!v) return bad_number("metrics", "--jobs", argv[i]);
+      opts.jobs = *v;
     } else if (arg.size() >= 2 && arg.substr(0, 2) == "--") {
       std::fprintf(stderr, "tdat metrics: unknown flag '%s'\n",
                    std::string(arg).c_str());
@@ -966,12 +997,12 @@ int cmd_shard(int argc, char** argv) {
   std::size_t shards = 2;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      const long v = std::atol(argv[++i]);
-      if (v < 1) {
+      const auto v = parse_uint(argv[++i], 1);
+      if (!v) {
         std::fprintf(stderr, "tdat shard: --shards: need a positive count\n");
         return 2;
       }
-      shards = static_cast<std::size_t>(v);
+      shards = *v;
     } else if (std::strcmp(argv[i], "--plan") == 0) {
       plan_mode = true;
     } else if (out_dir.empty() && argv[i][0] != '-') {
@@ -1047,19 +1078,14 @@ int cmd_fleet(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const auto count_of = [&](const char* flag, std::size_t min,
-                              std::optional<std::size_t>& out_v) {
+                              std::optional<std::size_t>& out_v,
+                              std::uint64_t max = SIZE_MAX) {
       const char* v = value_of();
-      char* end = nullptr;
-      const unsigned long n =
-          v == nullptr ? 0 : std::strtoul(v, &end, 10);
-      if (v == nullptr || end == v || *end != '\0' || n < min) {
-        out_v.reset();
-        std::fprintf(stderr, "tdat fleet: %s: need a count >= %zu (run"
-                     " 'tdat' for usage)\n", flag, min);
-        return false;
+      out_v = v == nullptr ? std::nullopt : parse_uint(v, min, max);
+      if (!out_v) {
+        fail(std::string(flag) + ": need a count >= " + std::to_string(min));
       }
-      out_v = static_cast<std::size_t>(n);
-      return true;
+      return out_v.has_value();
     };
     std::optional<std::size_t> n;
     if (arg == "--workers") {
@@ -1072,10 +1098,10 @@ int cmd_fleet(int argc, char** argv) {
       if (!count_of("--jobs", 1, n)) return 2;
       opts.analyzer.jobs = *n;
     } else if (arg == "--heartbeat-ms") {
-      if (!count_of("--heartbeat-ms", 1, n)) return 2;
+      if (!count_of("--heartbeat-ms", 1, n, UINT32_MAX)) return 2;
       opts.heartbeat_ms = static_cast<std::uint32_t>(*n);
     } else if (arg == "--timeout-ms") {
-      if (!count_of("--timeout-ms", 1, n)) return 2;
+      if (!count_of("--timeout-ms", 1, n, UINT32_MAX)) return 2;
       opts.timeout_ms = static_cast<std::uint32_t>(*n);
     } else if (arg == "--max-respawns") {
       if (!count_of("--max-respawns", 0, n)) return 2;
@@ -1103,15 +1129,9 @@ int cmd_fleet(int argc, char** argv) {
       connect = v;
     } else if (arg == "--location") {
       const char* v = value_of();
-      if (v != nullptr && std::strcmp(v, "receiver") == 0) {
-        opts.analyzer.location = SnifferLocation::kNearReceiver;
-      } else if (v != nullptr && std::strcmp(v, "sender") == 0) {
-        opts.analyzer.location = SnifferLocation::kNearSender;
-      } else if (v != nullptr && std::strcmp(v, "middle") == 0) {
-        opts.analyzer.location = SnifferLocation::kMiddle;
-      } else {
-        return fail("--location: valid: receiver, sender, middle");
-      }
+      const auto location = parse_location(v == nullptr ? "" : v);
+      if (!location.ok()) return fail(location.error());
+      opts.analyzer.location = location.value();
     } else if (arg == "--detectors") {
       const char* v = value_of();
       auto selection = parse_detector_selection(v == nullptr ? "" : v);
@@ -1169,13 +1189,7 @@ struct WatchCommand {
 Result<WatchCommand> parse_watch_args(int argc, char** argv) {
   WatchCommand cmd;
   cmd.opts.jobs = 0;
-  const auto value_of = [&](int& i) -> Result<std::string> {
-    if (i + 1 >= argc) {
-      return Err<std::string>(std::string("flag '") + argv[i] +
-                              "' needs a value");
-    }
-    return std::string(argv[++i]);
-  };
+  const auto value_of = [&](int& i) { return flag_value(argc, argv, i); };
   const auto seconds_of = [](const std::string& flag, const std::string& v,
                              double& out) -> Result<bool> {
     char* end = nullptr;
@@ -1188,6 +1202,8 @@ Result<WatchCommand> parse_watch_args(int argc, char** argv) {
     return true;
   };
   for (int i = 0; i < argc; ++i) {
+    TDAT_TRY(shared, parse_analysis_flag(argc, argv, i, cmd.opts));
+    if (shared) continue;
     const std::string_view arg = argv[i];
     if (arg == "--output") {
       TDAT_TRY(v, value_of(i));
@@ -1218,52 +1234,12 @@ Result<WatchCommand> parse_watch_args(int argc, char** argv) {
       (void)ok;
     } else if (arg == "--poll-ms") {
       TDAT_TRY(v, value_of(i));
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0' || n == 0) {
-        return Err<WatchCommand>("--poll-ms: need a positive count");
-      }
-      cmd.poll_ms = static_cast<unsigned>(n);
+      const auto n = parse_uint(v, 1, std::numeric_limits<unsigned>::max());
+      if (!n) return Err<WatchCommand>("--poll-ms: need a positive count");
+      cmd.poll_ms = static_cast<unsigned>(*n);
     } else if (arg == "--run-id") {
       TDAT_TRY(v, value_of(i));
       cmd.render.run_id = std::move(v);
-    } else if (arg == "--jobs") {
-      TDAT_TRY(v, value_of(i));
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0') {
-        return Err<WatchCommand>("--jobs: not a number: '" + v + "'");
-      }
-      cmd.opts.jobs = static_cast<std::size_t>(n);
-    } else if (arg == "--detectors") {
-      TDAT_TRY(v, value_of(i));
-      auto selection = parse_detector_selection(v);
-      if (!selection.ok()) {
-        return Err<WatchCommand>("--detectors: " + selection.error());
-      }
-      cmd.opts.passes = selection.value();
-    } else if (arg == "--location") {
-      TDAT_TRY(v, value_of(i));
-      if (v == "receiver") {
-        cmd.opts.location = SnifferLocation::kNearReceiver;
-      } else if (v == "sender") {
-        cmd.opts.location = SnifferLocation::kNearSender;
-      } else if (v == "middle") {
-        cmd.opts.location = SnifferLocation::kMiddle;
-      } else {
-        return Err<WatchCommand>("--location: unknown location '" + v +
-                                 "' (valid: receiver, sender, middle)");
-      }
-    } else if (arg == "--strict") {
-      cmd.opts.ingest.strict = true;
-    } else if (arg == "--max-errors") {
-      TDAT_TRY(v, value_of(i));
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0') {
-        return Err<WatchCommand>("--max-errors: not a number: '" + v + "'");
-      }
-      cmd.opts.ingest.max_errors = static_cast<std::size_t>(n);
     } else if (arg == "--log-level") {
       TDAT_TRY(v, value_of(i));
       cmd.log_level = std::move(v);
